@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/fault/plan_serde.h"
@@ -60,6 +61,23 @@ bool ParseWorldLine(std::string_view line, ChaosWorldOptions* world, std::string
     int64_t v = 0;
     if (!ParseI64(tokens[i].substr(eq + 1), &v)) {
       *error = "unparsable world value '" + std::string(tokens[i]) + "'";
+      return false;
+    }
+    // A world the harness cannot build (no nodes, no clients, a negative
+    // count that would wrap in size_t, a value past int) is a parse error.
+    int64_t lo = std::numeric_limits<int64_t>::min();
+    int64_t hi = std::numeric_limits<int64_t>::max();
+    if (key == "nodes" || key == "clients" || key == "shards") {
+      lo = key == "shards" ? 0 : 1;  // shards=0 = auto.
+      hi = std::numeric_limits<int>::max();
+    } else if (key == "requests" || key == "warmup") {
+      lo = 0;
+    } else if (key == "deadline" || key == "horizon") {
+      lo = 1;
+    }
+    if (v < lo || v > hi) {
+      *error = "world value out of range '" + std::string(tokens[i]) + "' (allowed " +
+               std::to_string(lo) + ".." + std::to_string(hi) + ")";
       return false;
     }
     if (key == "nodes") {

@@ -9,9 +9,10 @@
 // fingerprint string for the determinism oracle: two runs of the same
 // (world, plan) must fingerprint byte-identically at ANY
 // MITT_TRIAL_WORKERS x MITT_INTRA_WORKERS point, or the engine itself is the
-// bug. The shard count is pinned (never auto) because per-shard strategy
-// seeds are salted — an unsharded run is a *different* (equally valid)
-// simulation, not a comparison point.
+// bug. The shard count is pinned (never auto) because it is part of the
+// world: per-shard strategy seeds are salted and clients draw per-client
+// quotas on two or more shards, so a different shard count is a *different*
+// (equally valid) simulation, not a comparison point.
 
 #ifndef MITTOS_CHAOS_WORLD_H_
 #define MITTOS_CHAOS_WORLD_H_

@@ -19,10 +19,14 @@ Cluster::Cluster(sim::Simulator* sim, const Options& options) : options_(options
 }
 
 Cluster::Cluster(sim::ShardedEngine* engine, const Options& options) : options_(options) {
-  assert(options_.shared_cpu_cores == 0 && "shared CPU pool is cross-shard state");
   const int num_shards = engine->num_shards();
+  assert((options_.shared_cpu_cores == 0 || num_shards == 1) &&
+         "shared CPU pool is cross-shard state");
   network_ = std::make_unique<Network>(engine->shard(0), options_.network,
                                        options_.seed ^ 0xBEEF);
+  if (options_.shared_cpu_cores > 0) {
+    shared_cpu_ = std::make_unique<CpuPool>(engine->shard(0), options_.shared_cpu_cores);
+  }
   std::vector<int> node_shard(static_cast<size_t>(options_.num_nodes));
   for (int i = 0; i < options_.num_nodes; ++i) {
     node_shard[static_cast<size_t>(i)] =
@@ -32,7 +36,8 @@ Cluster::Cluster(sim::ShardedEngine* engine, const Options& options) : options_(
   nodes_.reserve(static_cast<size_t>(options_.num_nodes));
   for (int i = 0; i < options_.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<kv::DocStoreNode>(
-        engine->shard(node_shard[static_cast<size_t>(i)]), i, options_.node, nullptr));
+        engine->shard(node_shard[static_cast<size_t>(i)]), i, options_.node,
+        shared_cpu_.get()));
   }
 }
 

@@ -33,8 +33,8 @@ class Cluster {
   // each node's full stack (OS, devices, scheduler, cache) built on its
   // shard's simulator. The network is attached to the engine with the
   // node->shard map; shard counts must not depend on worker count (the
-  // engine's determinism contract). Incompatible with shared_cpu_cores — a
-  // shared CPU pool is inherently cross-node state.
+  // engine's determinism contract). shared_cpu_cores needs a one-shard
+  // engine — a shared CPU pool is inherently cross-node state.
   Cluster(sim::ShardedEngine* engine, const Options& options);
 
   kv::DocStoreNode& node(int i) { return *nodes_[static_cast<size_t>(i)]; }

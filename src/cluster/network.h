@@ -17,8 +17,9 @@
 // crosses shard boundaries, so it owns the cross-shard routing rules:
 //  * one RNG *lane* per source shard — hop jitter and drop draws consumed
 //    only by that shard's thread, so sequences are independent of worker
-//    interleaving. Lane 0 continues the unsharded network's stream, which is
-//    what keeps single-shard runs bit-identical with the legacy engine.
+//    interleaving. Lane 0 continues a standalone network's stream, which is
+//    what keeps a one-shard world bit-identical with the same world on a
+//    standalone simulator.
 //  * a delivery names its destination shard: same-shard hops schedule
 //    directly on the local simulator (the legacy fast path), cross-shard
 //    hops post timestamped messages into the engine's mailboxes. Every hop

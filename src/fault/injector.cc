@@ -21,18 +21,14 @@ void FaultInjector::Start() {
   for (size_t i = 0; i < plan_.size(); ++i) {
     const FaultEpisode& e = plan_.episodes()[i];
     const DurationNs delay = e.start > now ? e.start - now : 0;
-    // Daemon-like: a pending fault schedule must not keep Run() alive once
-    // the workload has drained.
+    // Global events are daemon-like: a pending fault schedule must not keep
+    // the run alive once the workload has drained.
     ScheduleFaultEvent(delay, [this, i] { Begin(i); });
   }
 }
 
 void FaultInjector::ScheduleFaultEvent(DurationNs delay, sim::Callback fn) {
-  if (sim::ShardedEngine* engine = sim_->engine(); engine != nullptr) {
-    engine->ScheduleGlobal(sim_->Now() + delay, std::move(fn));
-    return;
-  }
-  sim_->ScheduleDaemon(delay, std::move(fn));
+  sim_->engine()->ScheduleGlobal(sim_->Now() + delay, std::move(fn));
 }
 
 bool FaultInjector::Applicable(const FaultEpisode& e) const {

@@ -1,13 +1,13 @@
 // FaultInjector: replays a FaultPlan against a live cluster.
 //
-// Start() schedules one daemon begin event per episode (daemon so an idle
-// fault schedule never keeps Simulator::Run() alive after the workload
-// drains); each begin applies the fault through the target layer's injection
-// hook and schedules the matching clear. Fail-slow disks degrade through an
-// 8-step ramp across the first quarter of the episode — media ages, it does
-// not flip a switch — which is what makes the predictor's profiled model go
-// stale *gradually* (organic prediction error, vs the artificially injected
-// error of Fig. 10).
+// Start() schedules one begin event per episode as a ShardedEngine global
+// event (daemon-like, so an idle fault schedule never keeps the run alive
+// after the workload drains); each begin applies the fault through the
+// target layer's injection hook and schedules the matching clear. Fail-slow
+// disks degrade through an 8-step ramp across the first quarter of the
+// episode — media ages, it does not flip a switch — which is what makes the
+// predictor's profiled model go stale *gradually* (organic prediction error,
+// vs the artificially injected error of Fig. 10).
 //
 // Every activation is logged as an AppliedEpisode (ground truth for the
 // 1-vs-N-worker determinism check), emitted as a `fault_active` span into the
@@ -27,12 +27,14 @@ namespace mitt::fault {
 
 class FaultInjector {
  public:
+  // `sim` must be a shard of a sim::ShardedEngine (any shard count, one
+  // included); its clock, obs sinks and engine drive the episodes.
   FaultInjector(sim::Simulator* sim, cluster::Cluster* cluster, FaultPlan plan);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  // Schedules every episode (as daemon events). Call once, before Run().
+  // Schedules every episode (as global events). Call once, before Run().
   void Start();
 
   const FaultPlan& plan() const { return plan_; }
@@ -51,11 +53,10 @@ class FaultInjector {
 
   void Begin(size_t index);
   void End(size_t index, TimeNs actual_start);
-  // Sharded worlds (sim->engine() != nullptr) run every fault transition as
-  // a ShardedEngine *global event* — executed while all shards are quiesced,
-  // because faults mutate cross-shard state (network links, remote nodes).
-  // Unsharded worlds keep the legacy daemon scheduling, bit-identical with
-  // prior releases. Both variants never keep the run alive on their own.
+  // Every fault transition runs as a ShardedEngine *global event* —
+  // executed while all shards are quiesced, before any shard event at an
+  // equal or later time, because faults mutate cross-shard state (network
+  // links, remote nodes). Global events never keep the run alive on their own.
   void ScheduleFaultEvent(DurationNs delay, sim::Callback fn);
   // True if the episode's target exists in this world.
   bool Applicable(const FaultEpisode& episode) const;

@@ -201,8 +201,8 @@ int ResolveShards(const ExperimentOptions& options) {
   if (options.num_shards > 0) {
     return std::min(options.num_shards, options.num_nodes);
   }
-  // Auto: small paper-scale topologies stay on the legacy single-threaded
-  // engine (zero window overhead); fleet-scale worlds get ~32 nodes/shard.
+  // Auto: small paper-scale topologies run on one shard (no windows, no
+  // barriers); fleet-scale worlds get ~32 nodes/shard.
   if (options.num_nodes < 64) {
     return 1;
   }
@@ -483,9 +483,8 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
                             std::vector<std::unique_ptr<noise::IoNoiseInjector>>& io_noise,
                             std::vector<std::unique_ptr<noise::CacheNoiseInjector>>& cache_noise,
                             std::vector<std::unique_ptr<workload::MacroWorkload>>& macro_noise) {
-  // Every injector runs on its node's own simulator (that node's shard in a
-  // sharded world, the single legacy simulator otherwise) — noise is node-
-  // local by construction, so it never crosses a shard boundary.
+  // Every injector runs on its node's own shard — noise is node-local by
+  // construction, so it never crosses a shard boundary.
   const noise::Ec2NoiseModel ec2(options_.ec2, options_.seed ^ 0xEC2);
 
   auto make_io_injector = [&](int node, std::vector<noise::NoiseEpisode> schedule) {
@@ -598,275 +597,10 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
 }
 
 RunResult Experiment::Run(StrategyKind kind) {
-  if (const int shards = ResolveShards(options_); shards > 1) {
-    return RunSharded(kind, shards);
-  }
+  // Every world runs on a ShardedEngine; paper-scale worlds resolve to one
+  // shard, which steps its events exactly like a standalone Simulator.
+  const int num_shards = ResolveShards(options_);
 
-  // Declared before the simulator so every world component is torn down
-  // before its observability sinks.
-  obs::MetricsRegistry metrics;
-  std::unique_ptr<obs::Tracer> tracer;
-
-  sim::Simulator sim;
-  sim.set_metrics(&metrics);
-  if (options_.trace) {
-    tracer = std::make_unique<obs::Tracer>(options_.trace_capacity);
-    sim.set_tracer(tracer.get());
-  }
-
-  cluster::Cluster cluster(&sim, BuildClusterOptions(kind));
-  if (options_.warm_fraction > 0) {
-    cluster.WarmAll(options_.warm_fraction);
-  }
-
-  // --- Noise (identical schedules for every strategy) ---
-  std::vector<std::unique_ptr<noise::IoNoiseInjector>> io_noise;
-  std::vector<std::unique_ptr<noise::CacheNoiseInjector>> cache_noise;
-  std::vector<std::unique_ptr<workload::MacroWorkload>> macro_noise;
-  BuildNoise(cluster, io_noise, cache_noise, macro_noise);
-
-  // --- Faults (same plan replayed for every strategy) ---
-  std::unique_ptr<fault::FaultInjector> faults;
-  if (!options_.fault_plan.empty()) {
-    faults = std::make_unique<fault::FaultInjector>(&sim, &cluster, options_.fault_plan);
-    faults->Start();
-  }
-
-  // --- Strategy & clients ---
-  auto strategy = MakeStrategy(kind, &sim, &cluster);
-  RunResult result;
-  result.name = std::string(StrategyKindName(kind));
-  OracleHarvest* oracle = options_.harvest_oracles ? &result.oracle : nullptr;
-  if (oracle != nullptr) {
-    oracle->enabled = true;
-  }
-
-  const uint64_t keyspace = static_cast<uint64_t>(options_.num_keys_per_node) *
-                            static_cast<uint64_t>(options_.num_nodes);
-
-  // --- Tenant world (src/tenant/): directory, placement, controller ---
-  tenant::TenantDirectory directory;
-  std::unique_ptr<tenant::PlacementMap> placement;
-  std::unique_ptr<tenant::PlacementController> controller;
-  std::vector<ClassAgg> class_aggs;
-  if (options_.tenants.enabled) {
-    tenant::MixOptions mix = options_.tenants.mix;
-    mix.keyspace = keyspace;
-    if (mix.classes.empty()) {
-      mix.classes = tenant::TenantDirectory::DefaultClasses();
-    }
-    directory = tenant::TenantDirectory::BuildMix(mix);
-    placement = std::make_unique<tenant::PlacementMap>(tenant::PlacementMap::Uniform(
-        directory.num_tenants(), options_.num_nodes, std::min(3, options_.num_nodes),
-        options_.seed ^ 0x9A7C));
-    strategy->set_placement(placement.get());
-    class_aggs.resize(directory.num_classes());
-    if (options_.tenants.slo_aware) {
-      controller = std::make_unique<tenant::PlacementController>(
-          &sim, /*engine=*/nullptr, &directory, placement.get(), options_.num_nodes,
-          MakeNodeProbe(&cluster), options_.tenants.controller);
-      controller->Start();
-    }
-  }
-
-  trace::TraceRecorder recorder;
-  const bool recording = !options_.record_trace_path.empty();
-
-  if (options_.replay.enabled()) {
-    // Open-loop trace replay: the driver fires one Get per trace arrival at
-    // its scaled arrival time; nothing waits for completions. With the
-    // tenant world enabled, trace streams overlay onto tenants
-    // (stream % num_tenants) and each get carries its class SLO.
-    auto cursor = MakeReplayCursor();
-    trace::TraceReplayDriver::Options ropt;
-    ropt.rate_scale = options_.replay.rate_scale;
-    ropt.max_events = options_.replay.max_events;
-    ropt.warmup_events = options_.replay.warmup_events;
-    uint64_t completed = 0;
-    trace::TraceReplayDriver driver(
-        &sim, cursor.get(), ropt,
-        [&](const trace::TraceEvent& event, uint64_t /*global_index*/, bool measured) {
-          const TimeNs start = sim.Now();
-          if (recording) {
-            recorder.Record(start, event.offset, event.len, event.op, event.stream);
-          }
-          client::GetContext ctx;
-          if (options_.tenants.enabled) {
-            ctx.tenant = event.stream % directory.num_tenants();
-            ctx.deadline = directory.slo_of(ctx.tenant);
-          }
-          const tenant::TenantId t = ctx.tenant;
-          strategy->Get(ReplayKeyFor(event.offset, event.stream, keyspace), ctx,
-                        WrapOracleDone(oracle,
-                        [&, t, start, measured](const client::GetResult& get_result) {
-                          const DurationNs latency = sim.Now() - start;
-                          if (measured) {
-                            result.get_latencies.Record(latency);
-                            result.user_latencies.Record(latency);
-                            if (t != tenant::kNoTenant) {
-                              RecordTenantCompletion(directory, class_aggs, t, latency,
-                                                     get_result);
-                            }
-                          }
-                          if (!get_result.status.ok() && !get_result.status.busy()) {
-                            ++result.user_errors;
-                          }
-                          ++completed;
-                        }));
-        });
-    driver.Start();
-    // Arrivals drain first (done()), then the tail of in-flight gets.
-    sim.RunUntilPredicate([&] { return driver.done() && completed >= driver.dispatched(); });
-    result.requests = completed;
-    result.replay_events = driver.dispatched();
-    result.replay_trace_reads = driver.reads_dispatched();
-    result.replay_trace_writes = driver.writes_dispatched();
-  } else if (options_.tenants.enabled) {
-    // Open-loop tenant mix: arrivals at the directory's combined rate, each
-    // routed by the placement map and carrying its class SLO as deadline.
-    tenant::TenantLoadDriver::Options dopt;
-    dopt.warmup = options_.tenants.warmup;
-    dopt.duration = options_.tenants.duration;
-    dopt.seed = options_.seed ^ 0x7E4A;
-    uint64_t completed = 0;
-    tenant::TenantLoadDriver driver(
-        &sim, &directory, dopt, [&](tenant::TenantId t, uint64_t key, bool measured) {
-          const TimeNs start = sim.Now();
-          if (recording) {
-            recorder.Record(start, static_cast<int64_t>(key) << 12, 4096, trace::kOpRead, t);
-          }
-          strategy->Get(key, client::GetContext{t, directory.slo_of(t)},
-                        WrapOracleDone(oracle,
-                        [&, t, start, measured](const client::GetResult& get_result) {
-                          const DurationNs latency = sim.Now() - start;
-                          if (measured) {
-                            result.get_latencies.Record(latency);
-                            result.user_latencies.Record(latency);
-                            RecordTenantCompletion(directory, class_aggs, t, latency,
-                                                   get_result);
-                          }
-                          if (!get_result.status.ok() && !get_result.status.busy()) {
-                            ++result.user_errors;
-                          }
-                          ++completed;
-                        }));
-        });
-    driver.Start();
-    sim.RunUntilPredicate([&] { return driver.done() && completed >= driver.dispatched(); });
-    result.requests = completed;
-  } else {
-    const size_t target = options_.warmup_requests + options_.measure_requests;
-    size_t issued = 0;
-    size_t completed = 0;
-
-    struct Client {
-      std::unique_ptr<workload::YcsbWorkload> workload;
-      Rng rng{0};
-    };
-    auto clients = std::make_shared<std::vector<Client>>(
-        static_cast<size_t>(options_.num_clients));
-    for (int c = 0; c < options_.num_clients; ++c) {
-      workload::YcsbWorkload::Options wopt;
-      wopt.num_keys = keyspace;
-      wopt.distribution = options_.distribution;
-      wopt.seed = options_.seed ^ (0xC0FFEEULL + static_cast<uint64_t>(c));
-      (*clients)[static_cast<size_t>(c)].workload = std::make_unique<workload::YcsbWorkload>(wopt);
-      (*clients)[static_cast<size_t>(c)].rng = Rng(wopt.seed ^ 0x77);
-    }
-
-    auto next_key = [&, this](Client& cl) -> uint64_t {
-      for (int attempt = 0; attempt < 512; ++attempt) {
-        const uint64_t key = cl.workload->Next().key;
-        if (options_.pin_primary_node < 0 ||
-            cluster.ReplicasOf(key)[0] == options_.pin_primary_node) {
-          return key;
-        }
-      }
-      return 0;
-    };
-
-    // Closed-loop client driver.
-    auto issue = std::make_shared<std::function<void(size_t)>>();
-    *issue = [&, this, issue](size_t client_idx) {
-      if (issued >= target) {
-        return;
-      }
-      const size_t request_index = issued++;
-      Client& cl = (*clients)[client_idx];
-      const TimeNs start = sim.Now();
-      const bool measured = request_index >= options_.warmup_requests;
-      auto remaining = std::make_shared<int>(options_.scale_factor);
-      for (int s = 0; s < options_.scale_factor; ++s) {
-        const uint64_t key = next_key(cl);
-        const TimeNs get_start = sim.Now();
-        if (recording) {
-          recorder.Record(get_start, static_cast<int64_t>(key) << 12, 4096, trace::kOpRead,
-                          static_cast<uint32_t>(client_idx));
-        }
-        strategy->Get(key, WrapOracleDone(oracle, [&, issue, client_idx, start, get_start,
-                                                   measured, remaining](
-                               const client::GetResult& get_result) {
-          if (measured) {
-            result.get_latencies.Record(sim.Now() - get_start);
-          }
-          if (!get_result.status.ok() && !get_result.status.busy()) {
-            ++result.user_errors;
-          }
-          if (--*remaining > 0) {
-            return;
-          }
-          if (measured) {
-            result.user_latencies.Record(sim.Now() - start);
-          }
-          ++completed;
-          (*issue)(client_idx);
-        }));
-      }
-    };
-    for (int c = 0; c < options_.num_clients; ++c) {
-      (*issue)(static_cast<size_t>(c));
-    }
-
-    sim.RunUntilPredicate([&] { return completed >= target; });
-
-    // The driver lambda captures its own shared_ptr (so in-flight completions
-    // can re-issue); clear the function to break that cycle or it leaks.
-    *issue = nullptr;
-
-    result.requests = completed;
-  }
-
-  if (options_.tenants.enabled) {
-    HarvestTenants(directory, class_aggs, controller.get(), &result);
-    ValidatePlacement(*placement, options_.num_nodes, oracle);
-  }
-  if (recording) {
-    std::string error;
-    if (!recorder.WriteTo(options_.record_trace_path, &error)) {
-      throw std::runtime_error("record trace: " + error);
-    }
-    result.recorded_events = recorder.records();
-  }
-  for (const auto& injector : io_noise) {
-    result.noise_ios += injector->ios_issued();
-  }
-  result.sim_duration = sim.Now();
-  result.sim_events = sim.executed_events();
-  if (faults != nullptr) {
-    result.fault_log = faults->applied();
-    result.fault_episodes = faults->episodes_begun();
-    result.fault_skipped = faults->episodes_skipped();
-  }
-  CollectCounters(kind, *strategy, &result);
-  if (tracer != nullptr) {
-    result.trace_spans = tracer->OrderedSpans();
-    result.trace_dropped = tracer->dropped();
-  }
-  result.metrics = std::move(metrics);
-  return result;
-}
-
-RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
   // Per-shard observability sinks, declared before the engine so every world
   // component is torn down before what it writes into. Merged in shard order
   // at harvest — the merge order is part of the determinism contract.
@@ -906,8 +640,7 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
 
   // Fault episodes mutate cross-shard state (network links, whole nodes), so
   // the injector schedules them as engine-global events (see
-  // FaultInjector::ScheduleFaultEvent); building it on shard 0 keeps its
-  // clock and RNG on the legacy stream.
+  // FaultInjector::ScheduleFaultEvent); it reads shard 0's clock and sinks.
   std::unique_ptr<fault::FaultInjector> faults;
   if (!options_.fault_plan.empty()) {
     faults = std::make_unique<fault::FaultInjector>(engine.shard(0), &cluster,
@@ -965,7 +698,7 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
     }
     if (options_.tenants.slo_aware) {
       controller = std::make_unique<tenant::PlacementController>(
-          engine.shard(0), &engine, &directory, placement.get(), options_.num_nodes,
+          engine.shard(0), &directory, placement.get(), options_.num_nodes,
           MakeNodeProbe(&cluster), options_.tenants.controller);
       controller->Start();
     }
@@ -973,18 +706,59 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
 
   const bool recording = !options_.record_trace_path.empty();
 
+  // One open-loop arrival on shard s: a Get whose latency counts from its
+  // due time (open-loop drivers never wait for completions). Completions
+  // route back to the issuing shard (see client/strategy.cc), keeping every
+  // ShardCtx mutation shard-local.
+  const auto open_loop_get = [&](int s, uint64_t key, const client::GetContext& gctx,
+                                 bool measured) {
+    sim::Simulator* sim = engine.shard(s);
+    ShardCtx* ctx = &shard_ctx[static_cast<size_t>(s)];
+    const TimeNs start = sim->Now();
+    const tenant::TenantId t = gctx.tenant;
+    ctx->strategy->Get(
+        key, gctx,
+        WrapOracleDone(options_.harvest_oracles ? &ctx->oracle : nullptr,
+                       [sim, ctx, t, start, measured, &directory](const client::GetResult& r) {
+                         const DurationNs latency = sim->Now() - start;
+                         if (measured) {
+                           ctx->get_latencies.Record(latency);
+                           ctx->user_latencies.Record(latency);
+                           if (t != tenant::kNoTenant) {
+                             RecordTenantCompletion(directory, ctx->class_aggs, t, latency, r);
+                           }
+                         }
+                         if (!r.status.ok() && !r.status.busy()) {
+                           ++ctx->user_errors;
+                         }
+                         ++ctx->completed;
+                       }));
+  };
+  // Open-loop runs end once every shard's driver has dispatched its last
+  // arrival and every dispatched get has completed. The predicate runs
+  // quiesced, so summing shard counters is race-free.
+  const auto drained = [&](const auto& drivers) {
+    uint64_t dispatched = 0;
+    uint64_t completed = 0;
+    bool all_done = true;
+    for (int s = 0; s < num_shards; ++s) {
+      all_done = all_done && drivers[static_cast<size_t>(s)]->done();
+      dispatched += drivers[static_cast<size_t>(s)]->dispatched();
+      completed += shard_ctx[static_cast<size_t>(s)].completed;
+    }
+    return all_done && completed >= dispatched;
+  };
+
   if (options_.replay.enabled()) {
     // Open-loop replay, pre-partitioned per shard in trace order: every
     // shard owns its own cursor over the whole trace and claims the records
     // with stream % num_shards == s. The partition is a pure function of
     // the trace — worker count never moves an arrival, so scorecards stay
-    // bit-identical across MITT_INTRA_WORKERS. Completions route back to
-    // the issuing shard (see client/strategy.cc), keeping every ShardCtx
-    // mutation shard-local.
+    // bit-identical across MITT_INTRA_WORKERS. With the tenant world on,
+    // streams overlay onto tenants (stream % num_tenants) and each get
+    // carries its class SLO.
     std::vector<std::unique_ptr<trace::TraceCursor>> cursors;
     std::vector<std::unique_ptr<trace::TraceReplayDriver>> drivers;
-    cursors.reserve(static_cast<size_t>(num_shards));
-    drivers.reserve(static_cast<size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
       cursors.push_back(MakeReplayCursor());
       trace::TraceReplayDriver::Options ropt;
@@ -993,61 +767,23 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
       ropt.warmup_events = options_.replay.warmup_events;
       ropt.shard = s;
       ropt.num_shards = num_shards;
-      sim::Simulator* sim = engine.shard(s);
-      ShardCtx* ctx = &shard_ctx[static_cast<size_t>(s)];
-      client::GetStrategy* strategy = ctx->strategy.get();
-      const bool tenants_on = options_.tenants.enabled;
-      OracleHarvest* oracle = options_.harvest_oracles ? &ctx->oracle : nullptr;
       drivers.push_back(std::make_unique<trace::TraceReplayDriver>(
-          sim, cursors.back().get(), ropt,
-          [sim, ctx, strategy, keyspace, recording, tenants_on, oracle, &directory](
-              const trace::TraceEvent& event, uint64_t /*global_index*/, bool measured) {
-            const TimeNs start = sim->Now();
+          engine.shard(s), cursors.back().get(), ropt,
+          [&, s](const trace::TraceEvent& event, uint64_t /*global_index*/, bool measured) {
             if (recording) {
-              ctx->recorder.Record(start, event.offset, event.len, event.op, event.stream);
+              shard_ctx[static_cast<size_t>(s)].recorder.Record(
+                  engine.shard(s)->Now(), event.offset, event.len, event.op, event.stream);
             }
             client::GetContext gctx;
-            if (tenants_on) {
+            if (options_.tenants.enabled) {
               gctx.tenant = event.stream % directory.num_tenants();
               gctx.deadline = directory.slo_of(gctx.tenant);
             }
-            const tenant::TenantId t = gctx.tenant;
-            strategy->Get(ReplayKeyFor(event.offset, event.stream, keyspace), gctx,
-                          WrapOracleDone(oracle,
-                          [sim, ctx, t, start, measured,
-                           &directory](const client::GetResult& get_result) {
-                            const DurationNs latency = sim->Now() - start;
-                            if (measured) {
-                              ctx->get_latencies.Record(latency);
-                              ctx->user_latencies.Record(latency);
-                              if (t != tenant::kNoTenant) {
-                                RecordTenantCompletion(directory, ctx->class_aggs, t,
-                                                       latency, get_result);
-                              }
-                            }
-                            if (!get_result.status.ok() && !get_result.status.busy()) {
-                              ++ctx->user_errors;
-                            }
-                            ++ctx->completed;
-                          }));
+            open_loop_get(s, ReplayKeyFor(event.offset, event.stream, keyspace), gctx, measured);
           }));
       drivers.back()->Start();
     }
-
-    // The predicate runs at quiesced barriers, so summing shard counters is
-    // race-free: arrivals drain first, then the in-flight tail.
-    engine.RunUntilPredicate([&] {
-      uint64_t dispatched = 0;
-      uint64_t completed = 0;
-      bool all_done = true;
-      for (int s = 0; s < num_shards; ++s) {
-        all_done = all_done && drivers[static_cast<size_t>(s)]->done();
-        dispatched += drivers[static_cast<size_t>(s)]->dispatched();
-        completed += shard_ctx[static_cast<size_t>(s)].completed;
-      }
-      return all_done && completed >= dispatched;
-    });
-
+    engine.RunUntilPredicate([&] { return drained(drivers); });
     for (const auto& driver : drivers) {
       result.replay_events += driver->dispatched();
       result.replay_trace_reads += driver->reads_dispatched();
@@ -1058,7 +794,6 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
     // partition `tenant % num_shards == s` — the same contract as replay, so
     // scorecards stay bit-identical across MITT_INTRA_WORKERS.
     std::vector<std::unique_ptr<tenant::TenantLoadDriver>> drivers;
-    drivers.reserve(static_cast<size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
       tenant::TenantLoadDriver::Options dopt;
       dopt.warmup = options_.tenants.warmup;
@@ -1066,80 +801,59 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
       dopt.shard = s;
       dopt.num_shards = num_shards;
       dopt.seed = options_.seed ^ 0x7E4A;
-      sim::Simulator* sim = engine.shard(s);
-      ShardCtx* ctx = &shard_ctx[static_cast<size_t>(s)];
-      client::GetStrategy* strategy = ctx->strategy.get();
-      OracleHarvest* oracle = options_.harvest_oracles ? &ctx->oracle : nullptr;
       drivers.push_back(std::make_unique<tenant::TenantLoadDriver>(
-          sim, &directory, dopt,
-          [sim, ctx, strategy, recording, oracle, &directory](tenant::TenantId t, uint64_t key,
-                                                              bool measured) {
-            const TimeNs start = sim->Now();
+          engine.shard(s), &directory, dopt,
+          [&, s](tenant::TenantId t, uint64_t key, bool measured) {
             if (recording) {
-              ctx->recorder.Record(start, static_cast<int64_t>(key) << 12, 4096,
-                                   trace::kOpRead, t);
+              shard_ctx[static_cast<size_t>(s)].recorder.Record(
+                  engine.shard(s)->Now(), static_cast<int64_t>(key) << 12, 4096,
+                  trace::kOpRead, t);
             }
-            strategy->Get(key, client::GetContext{t, directory.slo_of(t)},
-                          WrapOracleDone(oracle,
-                          [sim, ctx, t, start, measured,
-                           &directory](const client::GetResult& get_result) {
-                            const DurationNs latency = sim->Now() - start;
-                            if (measured) {
-                              ctx->get_latencies.Record(latency);
-                              ctx->user_latencies.Record(latency);
-                              RecordTenantCompletion(directory, ctx->class_aggs, t, latency,
-                                                     get_result);
-                            }
-                            if (!get_result.status.ok() && !get_result.status.busy()) {
-                              ++ctx->user_errors;
-                            }
-                            ++ctx->completed;
-                          }));
+            open_loop_get(s, key, client::GetContext{t, directory.slo_of(t)}, measured);
           }));
       drivers.back()->Start();
     }
-
-    engine.RunUntilPredicate([&] {
-      uint64_t dispatched = 0;
-      uint64_t completed = 0;
-      bool all_done = true;
-      for (int s = 0; s < num_shards; ++s) {
-        all_done = all_done && drivers[static_cast<size_t>(s)]->done();
-        dispatched += drivers[static_cast<size_t>(s)]->dispatched();
-        completed += shard_ctx[static_cast<size_t>(s)].completed;
-      }
-      return all_done && completed >= dispatched;
-    });
+    engine.RunUntilPredicate([&] { return drained(drivers); });
   } else {
     const size_t target = options_.warmup_requests + options_.measure_requests;
     const size_t num_clients = static_cast<size_t>(options_.num_clients);
 
-    // The legacy driver splits warmup from measurement with one global issue
-    // counter; sharded trials cannot share a counter without racing, so each
-    // client gets a fixed quota (and warmup share) up front. The split is a
-    // pure function of (client count, request counts) — independent of worker
-    // count, so scorecards stay bit-identical across MITT_INTRA_WORKERS.
-    struct Client {
-      std::unique_ptr<workload::YcsbWorkload> workload;
-      Rng rng{0};
-      int shard = 0;
-      size_t quota = 0;        // Requests this client will issue in total.
-      size_t warmup = 0;       // First `warmup` of them are unmeasured.
+    // Issue accounting. One shard: every client draws from one counter, so
+    // warmup is the first warmup_requests issued world-wide. Shards cannot
+    // share a counter without racing, so with several each client gets a
+    // fixed quota (and warmup share) up front — a pure function of (client
+    // count, request counts), so scorecards stay bit-identical across
+    // MITT_INTRA_WORKERS.
+    struct Quota {
+      size_t total = 0;   // Requests drawn from this counter in all.
+      size_t warmup = 0;  // The first `warmup` of them are unmeasured.
       size_t issued = 0;
     };
-    auto clients = std::make_shared<std::vector<Client>>(num_clients);
+    std::vector<Quota> quotas;
+    if (num_shards == 1) {
+      quotas.push_back({target, options_.warmup_requests});
+    } else {
+      for (size_t c = 0; c < num_clients; ++c) {
+        quotas.push_back({target / num_clients + (c < target % num_clients ? 1 : 0),
+                          options_.warmup_requests / num_clients +
+                              (c < options_.warmup_requests % num_clients ? 1 : 0)});
+      }
+    }
+    struct Client {
+      std::unique_ptr<workload::YcsbWorkload> workload;
+      int shard = 0;
+      Quota* quota = nullptr;
+    };
+    std::vector<Client> clients(num_clients);
     for (size_t c = 0; c < num_clients; ++c) {
-      Client& cl = (*clients)[c];
+      Client& cl = clients[c];
       workload::YcsbWorkload::Options wopt;
       wopt.num_keys = keyspace;
       wopt.distribution = options_.distribution;
       wopt.seed = options_.seed ^ (0xC0FFEEULL + static_cast<uint64_t>(c));
       cl.workload = std::make_unique<workload::YcsbWorkload>(wopt);
-      cl.rng = Rng(wopt.seed ^ 0x77);
       cl.shard = static_cast<int>(c % static_cast<size_t>(num_shards));
-      cl.quota = target / num_clients + (c < target % num_clients ? 1 : 0);
-      cl.warmup = options_.warmup_requests / num_clients +
-                  (c < options_.warmup_requests % num_clients ? 1 : 0);
+      cl.quota = &quotas[num_shards == 1 ? 0 : c];
     }
 
     auto next_key = [&, this](Client& cl) -> uint64_t {
@@ -1156,15 +870,16 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
     // Closed-loop driver; runs entirely on the client's home shard.
     auto issue = std::make_shared<std::function<void(size_t)>>();
     *issue = [&, issue](size_t client_idx) {
-      Client& cl = (*clients)[client_idx];
-      if (cl.issued >= cl.quota) {
+      Client& cl = clients[client_idx];
+      Quota& quota = *cl.quota;
+      if (quota.issued >= quota.total) {
         return;
       }
-      const size_t request_index = cl.issued++;
+      const size_t request_index = quota.issued++;
       ShardCtx& ctx = shard_ctx[static_cast<size_t>(cl.shard)];
       sim::Simulator* sim = engine.shard(cl.shard);
       const TimeNs start = sim->Now();
-      const bool measured = request_index >= cl.warmup;
+      const bool measured = request_index >= quota.warmup;
       auto remaining = std::make_shared<int>(options_.scale_factor);
       for (int s = 0; s < options_.scale_factor; ++s) {
         const uint64_t key = next_key(cl);
@@ -1175,23 +890,21 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
         }
         OracleHarvest* oracle = options_.harvest_oracles ? &ctx.oracle : nullptr;
         ctx.strategy->Get(key, WrapOracleDone(oracle,
-                               [&, issue, client_idx, start, get_start, measured, remaining](
-                                   const client::GetResult& get_result) {
-          ShardCtx& cb_ctx = shard_ctx[static_cast<size_t>((*clients)[client_idx].shard)];
-          sim::Simulator* cb_sim = engine.shard((*clients)[client_idx].shard);
+                               [&ctx, sim, issue, client_idx, start, get_start, measured,
+                                remaining](const client::GetResult& get_result) {
           if (measured) {
-            cb_ctx.get_latencies.Record(cb_sim->Now() - get_start);
+            ctx.get_latencies.Record(sim->Now() - get_start);
           }
           if (!get_result.status.ok() && !get_result.status.busy()) {
-            ++cb_ctx.user_errors;
+            ++ctx.user_errors;
           }
           if (--*remaining > 0) {
             return;
           }
           if (measured) {
-            cb_ctx.user_latencies.Record(cb_sim->Now() - start);
+            ctx.user_latencies.Record(sim->Now() - start);
           }
-          ++cb_ctx.completed;
+          ++ctx.completed;
           (*issue)(client_idx);
         }));
       }
@@ -1200,9 +913,10 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
       (*issue)(c);
     }
 
-    // Quotas drain the driver naturally; the predicate ends the run at the
-    // first quiesced barrier where every quota has completed (so daemons —
-    // noise streams, breaker probes — cannot keep the engine alive).
+    // Quotas drain the driver naturally; the predicate ends the run as soon
+    // as every request has completed — after that event on one shard, at the
+    // next barrier on several — so daemons (noise streams, breaker probes)
+    // cannot keep the engine alive.
     engine.RunUntilPredicate([&] {
       size_t completed = 0;
       for (const ShardCtx& ctx : shard_ctx) {
@@ -1294,8 +1008,11 @@ RunResult Experiment::RunSharded(StrategyKind kind, int num_shards) {
     }
     result.trace_spans = obs::MergeShardSpans(shard_tracers);
   }
-  for (obs::MetricsRegistry& shard_metrics : metrics) {
-    result.metrics.MergeFrom(shard_metrics);
+  // Shard 0's registry moves in (merging into an empty registry would copy
+  // every histogram sample while the world is still alive).
+  result.metrics = std::move(metrics[0]);
+  for (size_t s = 1; s < metrics.size(); ++s) {
+    result.metrics.MergeFrom(metrics[s]);
   }
   return result;
 }

@@ -193,12 +193,12 @@ struct ExperimentOptions {
   client::ResilientOptions resilience;
 
   // --- Intra-trial sharding (src/sim/sharded_engine.h) ---
-  // Shard count for the conservative-PDES engine. 0 = auto: 1 below 64
-  // nodes (the legacy single-threaded engine, zero overhead), otherwise
-  // ~num_nodes/32 capped at 32. Must stay a pure function of the scenario —
-  // NEVER derive it from worker count or hardware, or bit-identity across
-  // MITT_INTRA_WORKERS dies. Forced to 1 when shared_cpu_cores > 0 (a
-  // shared CPU pool is cross-shard state).
+  // Shard count for the conservative-PDES engine every world runs on. 0 =
+  // auto: 1 below 64 nodes (one shard steps event by event: no windows, no
+  // barriers), otherwise ~num_nodes/32 capped at 32. Must stay a pure
+  // function of the scenario — NEVER derive it from worker count or
+  // hardware, or bit-identity across MITT_INTRA_WORKERS dies. Forced to 1
+  // when shared_cpu_cores > 0 (a shared CPU pool is cross-shard state).
   int num_shards = 0;
   // Threads driving shard windows inside ONE trial. 0 = $MITT_INTRA_WORKERS
   // (default 1). Any value produces bit-identical results; it composes with
@@ -288,7 +288,7 @@ struct RunResult {
   TimeNs sim_duration = 0;
 
   // Engine harvest: total simulator events executed (summed over shards),
-  // plus — for sharded runs — conservative-window and mailbox counters.
+  // plus — for runs on two or more shards — window and mailbox counters.
   // events/s on sim_events is what bench_scalecore reports.
   uint64_t sim_events = 0;
   int num_shards = 1;
@@ -298,7 +298,7 @@ struct RunResult {
   uint64_t engine_fused_windows = 0;
   uint64_t cross_shard_messages = 0;
   // Executed events per window, approximate percentiles from the engine's
-  // log-bucket histogram (0 for unsharded runs).
+  // log-bucket histogram (0 for one-shard runs, which open no windows).
   double events_per_window_p50 = 0;
   double events_per_window_p99 = 0;
   // (workers, critical-path events) pairs under the engine's map policy
@@ -368,8 +368,10 @@ class Experiment {
  public:
   explicit Experiment(const ExperimentOptions& options) : options_(options) {}
 
-  // Builds a fresh cluster+noise world and drives the workload through the
-  // given strategy.
+  // Builds a fresh cluster+noise world on a sim::ShardedEngine with
+  // ResolveShards() shards and drives the workload through the given
+  // strategy. Nodes and clients are spread over the shards; one shard is the
+  // paper-scale case.
   RunResult Run(StrategyKind kind);
 
   // Runs Base first, derives p95-based deadline/hedge/timeout when those are
@@ -388,12 +390,8 @@ class Experiment {
  private:
   struct World;
 
-  // Sharded driver: same world recipe, but nodes/clients spread over the
-  // engine's shards; used by Run() when ResolveShards() > 1.
-  RunResult RunSharded(StrategyKind kind, int num_shards);
   cluster::Cluster::Options BuildClusterOptions(StrategyKind kind) const;
-  // Builds the noise regime against each node's own simulator (its shard's,
-  // or the single legacy simulator — identical pointer when unsharded).
+  // Builds the noise regime against each node's own shard.
   void BuildNoise(cluster::Cluster& cluster,
                   std::vector<std::unique_ptr<noise::IoNoiseInjector>>& io_noise,
                   std::vector<std::unique_ptr<noise::CacheNoiseInjector>>& cache_noise,
@@ -401,8 +399,8 @@ class Experiment {
   // One fresh cursor over the configured replay source (each shard owns its
   // own). Throws std::runtime_error if the trace cannot be opened.
   std::unique_ptr<trace::TraceCursor> MakeReplayCursor() const;
-  // `seed_salt` decorrelates per-shard strategy instances; 0 = the legacy
-  // stream.
+  // `seed_salt` decorrelates per-shard strategy instances; shard 0 (salt 0)
+  // uses the unsalted stream.
   std::unique_ptr<client::GetStrategy> MakeStrategy(StrategyKind kind, sim::Simulator* sim,
                                                     cluster::Cluster* cluster,
                                                     uint64_t seed_salt = 0);

@@ -640,7 +640,37 @@ bool ShardedEngine::RunUntilPredicate(const std::function<bool()>& pred) {
   return RunLoop(pred);
 }
 
+bool ShardedEngine::RunSingleShard(const std::function<bool()>& pred) {
+  Simulator& sim = *shards_[0];
+  if (pred != nullptr && pred()) {
+    return true;
+  }
+  // Same liveness rule as Simulator::Run: non-daemon entries (tombstones
+  // included) keep the loop going, pending globals never do.
+  while (sim.non_daemon_pending() > 0) {
+    if (dirty_count_.load(std::memory_order_relaxed) != 0) {
+      DrainMailboxes();  // Only a Post to shard 0 itself can land here.
+    }
+    const TimeNs next = sim.NextEventTime();
+    if (next < 0) {
+      return false;
+    }
+    if (!globals_.empty() && globals_.front().when <= next) {
+      RunGlobalsUpTo(next);
+      continue;
+    }
+    sim.Step();
+    if (pred != nullptr && pred()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool ShardedEngine::RunLoop(const std::function<bool()>& pred) {
+  if (shards_.size() == 1) {
+    return RunSingleShard(pred);
+  }
   // Events may have been scheduled since the last call (setup, a previous
   // RunUntilPredicate round): resync every cached frontier once; inside the
   // loop only shards that moved are re-read.
@@ -684,12 +714,6 @@ bool ShardedEngine::RunLoop(const std::function<bool()>& pred) {
       continue;
     }
     TimeNs window_end = global_min + options_.lookahead;
-    if (window_end == global_min) {
-      // Zero lookahead is only legal single-shard (see the ctor assert);
-      // RunWindow's end is exclusive, so open the window one tick past the
-      // frontier or no event would ever be admitted.
-      ++window_end;
-    }
     if (!globals_.empty() && globals_.front().when < window_end) {
       window_end = globals_.front().when;  // > global_min, checked above.
     }

@@ -169,6 +169,11 @@ class ShardedEngine {
   // while quiesced — or the engine drains. Returns true if the predicate was
   // satisfied. Predicate evaluation is deterministic: barriers fall at the
   // same simulated times for any worker count (and with fusion on or off).
+  //
+  // A one-shard engine has no peer to wait for, so it opens no windows: it
+  // steps its shard event by event, runs each global event before the first
+  // shard event at an equal or later time, and checks `pred()` after every
+  // shard event — the event stream of Simulator::RunUntilPredicate.
   bool RunUntilPredicate(const std::function<bool()>& pred);
 
   // Largest shard clock (the simulated time the world has reached).
@@ -264,6 +269,7 @@ class ShardedEngine {
   }
 
   bool RunLoop(const std::function<bool()>& pred);
+  bool RunSingleShard(const std::function<bool()>& pred);  // num_shards == 1.
   // Advances every shard clock to `t` and fires due global events. Returns
   // the time of the next pending global event (or kNoPendingEvent).
   TimeNs RunGlobalsUpTo(TimeNs t);

@@ -111,11 +111,12 @@ class Simulator {
 
   // --- Sharded-engine hooks (src/sim/sharded_engine.h) ---
   //
-  // A Simulator either runs standalone (legacy single-threaded mode; every
+  // A Simulator either runs standalone (unit tests and micro-benches; every
   // hook below is inert and engine() is nullptr) or as one shard of a
-  // ShardedEngine, which drives it through RunWindow/AdvanceTo/NextEventTime
-  // at conservative-window barriers. Components query shard_id()/engine() to
-  // route cross-shard interactions; none of this touches the Step() hot path.
+  // ShardedEngine — every harness world — which drives it through
+  // RunWindow/AdvanceTo/NextEventTime at conservative-window barriers, or
+  // through Step() when it is the only shard. Components query
+  // shard_id()/engine() to route cross-shard interactions.
   void SetShardContext(ShardedEngine* engine, int shard_id) {
     engine_ = engine;
     shard_id_ = shard_id;
@@ -140,6 +141,11 @@ class Simulator {
       now_ = t;
     }
   }
+
+  // Pops and executes the earliest live event (releasing tombstones on the
+  // way). Returns false if the queue held none. A one-shard engine steps its
+  // shard through this, checking its run predicate after every event.
+  bool Step();
 
   // Pool introspection (perf monitoring; see bench_simcore).
   size_t pool_capacity() const { return num_slots_; }
@@ -270,9 +276,6 @@ class Simulator {
   static EventId MakeId(uint32_t slot, uint32_t generation) {
     return (static_cast<EventId>(slot + 1) << 32) | generation;
   }
-
-  // Pops and executes the earliest event. Returns false if the queue is empty.
-  bool Step();
 
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

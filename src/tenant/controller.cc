@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "src/sim/sharded_engine.h"
+
 namespace mitt::tenant {
 
-PlacementController::PlacementController(sim::Simulator* sim, sim::ShardedEngine* engine,
-                                         const TenantDirectory* directory,
+PlacementController::PlacementController(sim::Simulator* sim, const TenantDirectory* directory,
                                          PlacementMap* placement, int num_nodes, ProbeFn probe,
                                          const PlacementControllerOptions& options)
     : sim_(sim),
-      engine_(engine),
       directory_(directory),
       placement_(placement),
       num_nodes_(num_nodes),
@@ -31,26 +31,15 @@ PlacementController::PlacementController(sim::Simulator* sim, sim::ShardedEngine
   }
 }
 
-void PlacementController::Start() {
-  const TimeNs now = engine_ != nullptr ? engine_->Now() : sim_->Now();
-  Arm(now + options_.period);
-}
+void PlacementController::Start() { Arm(sim_->engine()->Now() + options_.period); }
 
 void PlacementController::Arm(TimeNs when) {
-  // Sharded worlds tick at a quiesced barrier (every shard parked, so the
-  // probe reads and the placement writes race with nothing); unsharded
-  // worlds use a plain daemon event. Both never keep the run alive.
-  if (engine_ != nullptr) {
-    engine_->ScheduleGlobal(when, [this, when] {
-      TickOnce();
-      Arm(when + options_.period);
-    });
-  } else {
-    sim_->ScheduleDaemon(when - sim_->Now(), [this] {
-      TickOnce();
-      Arm(sim_->Now() + options_.period);
-    });
-  }
+  // Ticks run as global events, with every shard parked, so the probe reads
+  // and the placement writes race with nothing. They never keep the run alive.
+  sim_->engine()->ScheduleGlobal(when, [this, when] {
+    TickOnce();
+    Arm(when + options_.period);
+  });
 }
 
 void PlacementController::TickOnce() {

@@ -22,9 +22,8 @@
 // least-loaded healthy nodes, capped per tick, with a per-tenant cooldown so
 // placements do not thrash.
 //
-// Determinism: every tick runs as a quiesced sim::ShardedEngine global event
-// (plain daemon event on an unsharded Simulator), so all shards observe each
-// migration at the same simulated instant; inputs are scheduler aggregates
+// Determinism: every tick runs as a quiesced sim::ShardedEngine global event,
+// so all shards observe each migration at the same simulated instant; inputs are scheduler aggregates
 // at the barrier plus the controller's own seeded state, making runs
 // bit-identical at any MITT_INTRA_WORKERS x MITT_TRIAL_WORKERS. See
 // DESIGN.md §4i.
@@ -38,7 +37,6 @@
 
 #include "src/common/time.h"
 #include "src/resilience/replica_health.h"
-#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 #include "src/tenant/placement.h"
 #include "src/tenant/tenant.h"
@@ -88,14 +86,15 @@ class PlacementController {
  public:
   using ProbeFn = std::function<NodeProbe(int node)>;
 
-  // `engine` may be null (unsharded world: ticks become daemon events on
-  // `sim`). `placement` and the probe target must outlive the controller.
-  PlacementController(sim::Simulator* sim, sim::ShardedEngine* engine,
-                      const TenantDirectory* directory, PlacementMap* placement, int num_nodes,
-                      ProbeFn probe, const PlacementControllerOptions& options);
+  // Start() needs `sim` to be a shard of a sim::ShardedEngine (any shard
+  // count); TickOnce() alone works on any simulator. `placement` and the
+  // probe target must outlive the controller.
+  PlacementController(sim::Simulator* sim, const TenantDirectory* directory,
+                      PlacementMap* placement, int num_nodes, ProbeFn probe,
+                      const PlacementControllerOptions& options);
 
-  // Arms the periodic tick from the current simulated time. Daemon-like:
-  // ticks never keep the run alive past the workload.
+  // Arms the periodic tick (engine global events) from the current simulated
+  // time. Daemon-like: ticks never keep the run alive past the workload.
   void Start();
 
   // Runs exactly one probe+decide round at the current simulated time, off
@@ -114,7 +113,6 @@ class PlacementController {
   void Arm(TimeNs when);
 
   sim::Simulator* sim_;
-  sim::ShardedEngine* engine_;
   const TenantDirectory* directory_;
   PlacementMap* placement_;
   int num_nodes_;

@@ -110,6 +110,66 @@ TEST(CorpusSerdeTest, MissingWorldLineAndUnknownKeysFailLoudly) {
       &parsed, &error));
 }
 
+// Parses a corpus whose world line ends with `token` (later keys override
+// earlier ones) and returns the parse error, empty if it parsed.
+std::string WorldLineError(const std::string& token) {
+  CorpusEntry parsed;
+  std::string error;
+  const std::string text =
+      "# mittos chaos corpus v1\nworld nodes=3 clients=4 requests=10 warmup=1 "
+      "deadline=1 horizon=1000 shards=1 seed=1 bug=0 tenants=0 " +
+      token + "\n";
+  if (chaos::CorpusEntryFromText(text, &parsed, &error)) {
+    return "";
+  }
+  EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << error;  // Line-numbered.
+  EXPECT_NE(error.find(token), std::string::npos) << error;
+  return error;
+}
+
+TEST(CorpusSerdeTest, RejectsWorldWithoutNodes) {
+  EXPECT_NE(WorldLineError("nodes=0"), "");
+  EXPECT_NE(WorldLineError("nodes=-1"), "");
+  EXPECT_EQ(WorldLineError("nodes=1"), "");
+}
+
+TEST(CorpusSerdeTest, RejectsWorldWithoutClients) {
+  EXPECT_NE(WorldLineError("clients=0"), "");
+  EXPECT_EQ(WorldLineError("clients=1"), "");
+}
+
+TEST(CorpusSerdeTest, RejectsNegativeShards) {
+  EXPECT_NE(WorldLineError("shards=-2"), "");
+  EXPECT_EQ(WorldLineError("shards=0"), "");  // Auto.
+}
+
+TEST(CorpusSerdeTest, RejectsNegativeRequests) {
+  EXPECT_NE(WorldLineError("requests=-1"), "");
+  EXPECT_EQ(WorldLineError("requests=0"), "");
+}
+
+TEST(CorpusSerdeTest, RejectsNegativeWarmup) {
+  EXPECT_NE(WorldLineError("warmup=-5"), "");
+  EXPECT_EQ(WorldLineError("warmup=0"), "");
+}
+
+TEST(CorpusSerdeTest, RejectsNonPositiveDeadline) {
+  EXPECT_NE(WorldLineError("deadline=0"), "");
+  EXPECT_NE(WorldLineError("deadline=-7"), "");
+}
+
+TEST(CorpusSerdeTest, RejectsNonPositiveHorizon) {
+  EXPECT_NE(WorldLineError("horizon=0"), "");
+  EXPECT_NE(WorldLineError("horizon=-1000"), "");
+}
+
+TEST(CorpusSerdeTest, RejectsIntFieldsPastIntRange) {
+  EXPECT_NE(WorldLineError("nodes=2147483648"), "");
+  EXPECT_NE(WorldLineError("clients=4294967297"), "");
+  EXPECT_NE(WorldLineError("shards=2147483648"), "");
+  EXPECT_EQ(WorldLineError("shards=2147483647"), "");
+}
+
 // --- Mutator ---------------------------------------------------------------
 
 void ExpectCanonical(const FaultPlan& plan, const chaos::MutatorOptions& opt) {

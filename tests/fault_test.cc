@@ -18,6 +18,7 @@
 #include "src/fault/injector.h"
 #include "src/harness/experiment.h"
 #include "src/obs/trace.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 
 namespace mitt::fault {
@@ -310,24 +311,33 @@ cluster::Cluster::Options SmallClusterOptions(int nodes) {
   return opt;
 }
 
+// Faults run as engine global events, so the injector needs an engine; a
+// one-shard engine is the smallest.
+sim::ShardedEngine::Options OneShard() {
+  sim::ShardedEngine::Options opt;
+  opt.num_shards = 1;
+  return opt;
+}
+
 TEST(FaultInjectorTest, AppliesClearsAndLogsEpisodes) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine(OneShard());
+  sim::Simulator& sim = *engine.shard(0);
   obs::Tracer tracer;
   sim.set_tracer(&tracer);
-  cluster::Cluster c(&sim, SmallClusterOptions(2));
+  cluster::Cluster c(&engine, SmallClusterOptions(2));
   FaultPlanBuilder b;
   b.FailSlowDisk(/*node=*/0, Millis(1), Millis(4), 8.0);
   b.NodePause(/*node=*/1, Millis(2), Millis(3));
   FaultInjector inj(&sim, &c, b.Build());
   inj.Start();
-  // Fault events are daemons: a workload event must keep Run() alive past
-  // the last episode end.
+  // Fault events are daemon-like: a workload event must keep Run() alive
+  // past the last episode end.
   bool saw_peak = false;
   sim.Schedule(Millis(3), [&] {
     saw_peak = c.node(0).os().disk()->service_time_multiplier() > 1.0;
   });
   sim.Schedule(Millis(10), [] {});
-  sim.Run();
+  engine.Run();
   EXPECT_TRUE(saw_peak);
   EXPECT_EQ(inj.episodes_begun(), 2u);
   EXPECT_EQ(inj.episodes_skipped(), 0u);
@@ -352,15 +362,15 @@ TEST(FaultInjectorTest, AppliesClearsAndLogsEpisodes) {
 }
 
 TEST(FaultInjectorTest, SkipsEpisodesTheWorldCannotHost) {
-  sim::Simulator sim;
-  cluster::Cluster c(&sim, SmallClusterOptions(2));  // Disk backend, 2 nodes.
+  sim::ShardedEngine engine(OneShard());
+  cluster::Cluster c(&engine, SmallClusterOptions(2));  // Disk backend, 2 nodes.
   FaultPlanBuilder b;
   b.SsdReadRetry(/*node=*/0, Millis(1), Millis(2), 25.0);  // No SSD here.
   b.NodePause(/*node=*/9, Millis(1), Millis(2));           // No such node.
-  FaultInjector inj(&sim, &c, b.Build());
+  FaultInjector inj(engine.shard(0), &c, b.Build());
   inj.Start();
-  sim.Schedule(Millis(5), [] {});
-  sim.Run();
+  engine.shard(0)->Schedule(Millis(5), [] {});
+  engine.Run();
   EXPECT_EQ(inj.episodes_begun(), 0u);
   EXPECT_EQ(inj.episodes_skipped(), 2u);
   EXPECT_TRUE(inj.applied().empty());

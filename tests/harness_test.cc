@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/harness/experiment.h"
@@ -200,6 +202,111 @@ TEST(NosqlStudyTest, ReproducesTableOneFindings) {
     EXPECT_FALSE(row.supports_hedged) << row.name;
   }
   EXPECT_EQ(clones, 2);
+}
+
+// --- One-shard stream pin ---
+//
+// Paper-scale worlds (ResolveShards() == 1) run on a one-shard
+// sim::ShardedEngine and must reproduce the standalone-simulator stream the
+// paper-scale figures were produced on. The expected scorecards below were
+// captured from a standalone-simulator world builder; any drift in issue
+// accounting, predicate timing, shared CPU pools or span order shows up as a
+// changed string.
+
+ExperimentOptions PinOptions() {
+  ExperimentOptions opt;
+  opt.num_nodes = 4;
+  opt.num_clients = 3;
+  opt.measure_requests = 250;  // 281 requests in all: not a multiple of 3.
+  opt.warmup_requests = 31;
+  opt.num_keys_per_node = 1 << 14;
+  opt.cache_pages = 1 << 12;
+  opt.deadline = Millis(13);
+  opt.seed = 31337;
+  return opt;
+}
+
+std::string PinScorecard(const RunResult& r) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "requests=%llu p50=%lld p99=%lld max=%lld failovers=%llu sim_events=%llu "
+                "sim_duration=%lld",
+                static_cast<unsigned long long>(r.requests),
+                static_cast<long long>(r.get_latencies.Percentile(50)),
+                static_cast<long long>(r.get_latencies.Percentile(99)),
+                static_cast<long long>(r.get_latencies.Max()),
+                static_cast<unsigned long long>(r.ebusy_failovers),
+                static_cast<unsigned long long>(r.sim_events),
+                static_cast<long long>(r.sim_duration));
+  return buf;
+}
+
+RunResult RunPinned(const ExperimentOptions& opt, StrategyKind kind) {
+  EXPECT_EQ(ResolveShards(opt), 1);
+  return Experiment(opt).Run(kind);
+}
+
+TEST(OneShardPinTest, ClosedLoopMacroMixMatchesPinnedStream) {
+  ExperimentOptions opt = PinOptions();
+  opt.noise = NoiseKind::kMacroMix;
+  EXPECT_EQ(PinScorecard(RunPinned(opt, StrategyKind::kMittos)),
+            "requests=281 p50=26162778 p99=263271970 max=288727191 failovers=455 "
+            "sim_events=12497 sim_duration=3337726926");
+}
+
+TEST(OneShardPinTest, SharedCpuPoolMatchesPinnedStream) {
+  ExperimentOptions opt = PinOptions();
+  opt.shared_cpu_cores = 2;
+  opt.scale_factor = 2;
+  opt.noise = NoiseKind::kContinuous;
+  opt.pin_primary_node = 0;
+  EXPECT_EQ(PinScorecard(RunPinned(opt, StrategyKind::kMittos)),
+            "requests=281 p50=11063488 p99=36583659 max=39356655 failovers=607 "
+            "sim_events=6719 sim_duration=1711405773");
+}
+
+TEST(OneShardPinTest, TenantReplayMatchesPinnedStream) {
+  ExperimentOptions opt = PinOptions();
+  opt.backend = os::BackendKind::kSsd;
+  opt.noise = NoiseKind::kContinuous;
+  opt.replay.synthetic_profile = 0;
+  opt.replay.synthetic_duration = Seconds(2);
+  opt.replay.max_events = 400;
+  opt.replay.warmup_events = 40;
+  opt.tenants.enabled = true;
+  opt.tenants.mix.num_tenants = 40;
+  opt.tenants.slo_aware = false;
+  const RunResult r = RunPinned(opt, StrategyKind::kMittos);
+  EXPECT_EQ(r.replay_events, 400u);
+  EXPECT_EQ(PinScorecard(r),
+            "requests=400 p50=430198 p99=457906 max=460798 failovers=0 "
+            "sim_events=645698 sim_duration=1198574104");
+}
+
+TEST(OneShardPinTest, TracedRunKeepsPinnedSpanOrder) {
+  ExperimentOptions opt = PinOptions();
+  opt.noise = NoiseKind::kContinuous;
+  opt.pin_primary_node = 0;
+  opt.measure_requests = 120;
+  opt.trace = true;
+  const RunResult r = RunPinned(opt, StrategyKind::kMittos);
+  EXPECT_EQ(PinScorecard(r),
+            "requests=151 p50=8795984 p99=27817346 max=37081328 failovers=151 "
+            "sim_events=1765 sim_duration=525683986");
+#if MITT_OBS_ENABLED
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over the span sequence.
+  for (const obs::SpanRecord& s : r.trace_spans) {
+    for (const uint64_t v : {s.request_id, static_cast<uint64_t>(s.begin),
+                             static_cast<uint64_t>(s.end), static_cast<uint64_t>(s.node),
+                             static_cast<uint64_t>(s.kind)}) {
+      hash = (hash ^ v) * 0x100000001b3ULL;
+    }
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "spans=%zu span_hash=%016llx", r.trace_spans.size(),
+                static_cast<unsigned long long>(hash));
+  EXPECT_STREQ(buf, "spans=1607 span_hash=ea572c258da72105");
+#endif
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/chaos/world.h"
 #include "src/common/time.h"
 #include "src/fault/fault_plan.h"
 #include "src/harness/experiment.h"
@@ -35,6 +36,56 @@ TEST(ShardedEngineTest, SingleShardMatchesPlainSimulator) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(engine.executed_events(), 2u);
   EXPECT_EQ(engine.cross_shard_messages(), 0u);
+}
+
+TEST(ShardedEngineTest, OneShardChecksPredicateAfterEveryEvent) {
+  // The one-shard engine must stop exactly where Simulator::RunUntilPredicate
+  // stops: after the event that satisfies the predicate, even when another
+  // event shares its timestamp, with daemons and tombstones treated alike.
+  auto script = [](sim::Simulator* sim, std::vector<int>* order) {
+    sim->ScheduleAt(Micros(10), [order] { order->push_back(1); });
+    sim->ScheduleAt(Micros(10), [order] { order->push_back(2); });
+    sim->ScheduleDaemon(Micros(15), [order] { order->push_back(3); });
+    const sim::EventId dead = sim->ScheduleAt(Micros(40), [order] { order->push_back(9); });
+    sim->ScheduleAt(Micros(20), [order] { order->push_back(4); });
+    sim->Cancel(dead);
+  };
+  sim::Simulator plain;
+  std::vector<int> plain_order;
+  script(&plain, &plain_order);
+  sim::ShardedEngine::Options opt;
+  opt.num_shards = 1;
+  sim::ShardedEngine engine(opt);
+  std::vector<int> engine_order;
+  script(engine.shard(0), &engine_order);
+
+  EXPECT_TRUE(plain.RunUntilPredicate([&] { return plain_order.size() == 1; }));
+  EXPECT_TRUE(engine.RunUntilPredicate([&] { return engine_order.size() == 1; }));
+  EXPECT_EQ(engine_order, plain_order);
+  EXPECT_EQ(engine.executed_events(), 1u);
+  EXPECT_FALSE(plain.RunUntilPredicate([] { return false; }));
+  EXPECT_FALSE(engine.RunUntilPredicate([] { return false; }));
+  EXPECT_EQ(engine_order, plain_order);
+  EXPECT_EQ(engine_order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(engine.executed_events(), plain.executed_events());
+  EXPECT_EQ(engine.Now(), plain.Now());
+  EXPECT_EQ(engine.windows_run(), 0u) << "one shard opens no windows";
+}
+
+TEST(ShardedEngineTest, OneShardRunsGlobalsFirstAndNeverForTheirOwnSake) {
+  sim::ShardedEngine::Options opt;
+  opt.num_shards = 1;
+  sim::ShardedEngine engine(opt);
+  std::vector<int> order;
+  engine.shard(0)->ScheduleAt(Micros(50), [&] { order.push_back(2); });
+  engine.ScheduleGlobal(Micros(50), [&] {
+    EXPECT_EQ(engine.shard(0)->Now(), Micros(50));
+    order.push_back(1);
+  });
+  engine.ScheduleGlobal(Micros(80), [&] { order.push_back(3); });  // Past the last event.
+  engine.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(engine.executed_events(), 1u) << "global events are not shard events";
 }
 
 TEST(ShardedEngineTest, PostDeliversInDeterministicOrder) {
@@ -332,6 +383,65 @@ TEST(ShardDeterminismTest, IntraWorkerEnvVarIsHonored) {
   ASSERT_EQ(unsetenv("MITT_INTRA_WORKERS"), 0);
   EXPECT_EQ(sim::DefaultIntraWorkers(), 1);
   EXPECT_EQ(via_env, ChaosScorecard(/*intra_workers=*/2, /*trial_workers=*/1));
+}
+
+// ----------------------- one-shard world: faults + SLO-aware controller
+
+// A paper-scale world (auto-resolved to one shard) with every global-event
+// source on: fault episodes and PlacementController ticks. Oracle harvest
+// must show conservation and exactly-once delivery, the controller must
+// leave a valid placement, and the scorecard must not depend on the worker
+// count the engine is given.
+harness::RunResult OneShardFaultControllerRun(int intra_workers) {
+  harness::ExperimentOptions opt;
+  opt.num_nodes = 6;
+  opt.num_clients = 0;
+  opt.backend = os::BackendKind::kSsd;
+  opt.num_keys_per_node = 1 << 14;
+  opt.cache_pages = 1 << 8;
+  opt.noise = harness::NoiseKind::kContinuous;  // Node 0: the hot node to drain.
+  opt.continuous_intensity = 60;
+  opt.noise_horizon = Seconds(2);
+  opt.tenants.enabled = true;
+  opt.tenants.mix.num_tenants = 120;
+  opt.tenants.mix.total_rate_hz = 6000;
+  opt.tenants.slo_aware = true;
+  opt.tenants.controller.period = Millis(50);
+  opt.tenants.warmup = Millis(50);
+  opt.tenants.duration = Millis(500);
+  fault::FaultPlanBuilder b;
+  b.SsdReadRetry(/*node=*/1, Millis(100), Millis(150), 20.0);
+  b.NodePause(/*node=*/2, Millis(200), Millis(40));
+  b.NetworkDrop(/*node=*/3, Millis(60), Millis(200), 0.2);
+  opt.fault_plan = b.Build();
+  opt.harvest_oracles = true;
+  opt.intra_workers = intra_workers;
+  opt.seed = 4242;
+  EXPECT_EQ(harness::ResolveShards(opt), 1);
+  return harness::Experiment(opt).Run(StrategyKind::kMittos);
+}
+
+TEST(ShardDeterminismTest, OneShardFaultAndControllerWorldIsExactlyOnceAndWorkerInvariant) {
+  const harness::RunResult r = OneShardFaultControllerRun(/*intra_workers=*/1);
+  EXPECT_EQ(r.num_shards, 1);
+  EXPECT_EQ(r.fault_episodes, 3u);
+  EXPECT_GT(r.controller_ticks, 0u);
+  EXPECT_GT(r.tenant_migrations, 0u) << "the controller must act on the hot node";
+  const harness::OracleHarvest& o = r.oracle;
+  ASSERT_TRUE(o.enabled);
+  EXPECT_GT(o.gets_issued, 0u);
+  EXPECT_EQ(o.gets_done, o.gets_issued) << "every issued get completes";
+  EXPECT_EQ(o.gets_done_duplicate, 0u) << "no get completes twice";
+  EXPECT_EQ(o.done_ok + o.done_busy + o.done_exhausted + o.done_error, o.gets_done);
+  EXPECT_TRUE(o.placement_ok) << o.placement_detail;
+
+  const auto card = [](const harness::RunResult& x) {
+    return chaos::ResultFingerprint(x) + " events=" + std::to_string(x.sim_events) +
+           " duration=" + std::to_string(x.sim_duration) +
+           " ticks=" + std::to_string(x.controller_ticks) +
+           " hot=" + std::to_string(x.controller_hot_ticks);
+  };
+  EXPECT_EQ(card(OneShardFaultControllerRun(/*intra_workers=*/2)), card(r));
 }
 
 // -------------------------------------------- trace export byte-identity
