@@ -10,9 +10,8 @@
 //        barrier, the mailbox drain, and the adaptive shard->worker packing.
 //   disk: ms-scale IO and low client concurrency -> sparse windows (a
 //        handful of events per shard-window), where synchronization cost
-//        dominates useful work. Stresses quiet-frontier window fusion; the
-//        workers=1 run is repeated with fusion disabled to report the
-//        barrier-count and events/s deltas fusion buys.
+//        dominates useful work. Stresses the one-ready-shard windows that
+//        run inline on the coordinator (reported as "fused").
 //
 // Speedups reported, because they answer different questions:
 //   - events/s per worker count: measured wall clock on THIS host. Only
@@ -21,15 +20,14 @@
 //     and invalid speedups print as n/a instead of a misleading < 1x.
 //   - critical-path speedup: sim_events / critical_path_events(w) — the sum
 //     over conservative windows of the busiest worker's event count, under
-//     the engine's (adaptive) shard map, with the static s % w map reported
-//     alongside. Host-independent and bit-deterministic (derived from event
-//     counts, not timers).
+//     the engine's adaptive shard maps. Host-independent and
+//     bit-deterministic (derived from event counts, not timers).
 //
-// Determinism is asserted, not assumed: every worker count must produce the
-// same requests / sim_events / window counts / latency percentiles, and the
-// fusion-off comparison run must reproduce the same scorecard, or the bench
-// exits nonzero. Perf is report-only (CI runners are noisy); broken
-// bit-identity is a correctness bug and fails loudly.
+// Determinism is asserted, not assumed: every worker count, and every rep of
+// the workers=1 base run, must produce the same requests / sim_events /
+// window counts / latency percentiles, or the bench exits nonzero. Perf is
+// report-only (CI runners are noisy); broken bit-identity is a correctness
+// bug and fails loudly.
 //
 // Usage: bench_scalecore [small] [disk]
 //   small: CI smoke shape (128 nodes).
@@ -77,6 +75,7 @@ bool SameScorecard(const mitt::harness::RunResult& a, const mitt::harness::RunRe
                    const std::vector<double>& pcts) {
   return a.requests == b.requests && a.sim_events == b.sim_events &&
          a.engine_windows == b.engine_windows &&
+         a.engine_fused_windows == b.engine_fused_windows &&
          a.cross_shard_messages == b.cross_shard_messages && a.user_errors == b.user_errors &&
          a.ebusy_failovers == b.ebusy_failovers && a.sim_duration == b.sim_duration &&
          a.get_latencies.Percentiles(pcts) == b.get_latencies.Percentiles(pcts) &&
@@ -116,8 +115,8 @@ int main(int argc, char** argv) {
   if (disk) {
     // Sparse shape: ms-scale IO and few closed-loop clients leave each
     // conservative window (lookahead ~135µs) holding a handful of events on
-    // one or two shards — the regime where barrier cost dominates and the
-    // quiet-frontier fusion fast path carries most windows.
+    // one or two shards — the regime where barrier cost dominates and
+    // one-ready-shard windows carry most of the run.
     // Client count is deliberately tiny: the quiet-frontier regime needs the
     // whole-world event rate times the lookahead (135µs) to stay well below
     // one, or concurrent request chains keep two shards under every window
@@ -149,10 +148,9 @@ int main(int argc, char** argv) {
               "critical-path speedup below is host-independent)\n",
               host_cpus);
 
-  const auto run_once = [&opt, host_cpus](int workers, int fusion) {
+  const auto run_once = [&opt, host_cpus](int workers) {
     harness::ExperimentOptions wopt = opt;
     wopt.intra_workers = workers;
-    wopt.engine_fusion = fusion;
     harness::Experiment experiment(wopt);
     const auto t0 = std::chrono::steady_clock::now();
     harness::RunResult result = experiment.Run(StrategyKind::kMittos);
@@ -165,54 +163,41 @@ int main(int argc, char** argv) {
     run.wall_valid = host_cpus >= static_cast<unsigned>(workers);
     run.result = std::move(result);
     std::printf(
-        "workers=%d%s  wall=%7.2fs  events=%llu  events/s=%11.0f  windows=%llu  "
+        "workers=%d  wall=%7.2fs  events=%llu  events/s=%11.0f  windows=%llu  "
         "fused=%llu  xshard_msgs=%llu\n",
-        workers, fusion == 0 ? " (fusion off)" : "", run.wall_sec,
-        static_cast<unsigned long long>(run.result.sim_events), run.events_per_sec,
-        static_cast<unsigned long long>(run.result.engine_windows),
+        workers, run.wall_sec, static_cast<unsigned long long>(run.result.sim_events),
+        run.events_per_sec, static_cast<unsigned long long>(run.result.engine_windows),
         static_cast<unsigned long long>(run.result.engine_fused_windows),
         static_cast<unsigned long long>(run.result.cross_shard_messages));
     return run;
   };
 
+  const std::vector<double> pcts = {50, 90, 95, 99, 99.9};
   std::vector<WorkerRun> runs;
-  runs.push_back(run_once(1, /*fusion=*/-1));
-  // The fusion A/B pair runs back to back, alternating, and each arm keeps
+  runs.push_back(run_once(1));
+  // The workers=1 base every speedup divides by runs three times and keeps
   // its fastest wall: small shared hosts show 1.5-2x wall-clock noise on
   // bit-identical work, and min-of-N is the standard de-noiser. Every rep's
   // scorecard is still gated (identical work is what makes min-of-N sound).
-  WorkerRun unfused_run = run_once(1, /*fusion=*/0);
-  bool fusion_reps_identical = true;
-  {
-    const std::vector<double> rep_pcts = {50, 90, 95, 99, 99.9};
-    for (int rep = 1; rep < 3; ++rep) {
-      WorkerRun on = run_once(1, /*fusion=*/-1);
-      WorkerRun off = run_once(1, /*fusion=*/0);
-      fusion_reps_identical = fusion_reps_identical &&
-                              SameScorecard(on.result, runs[0].result, rep_pcts) &&
-                              SameScorecard(off.result, unfused_run.result, rep_pcts);
-      if (on.wall_sec < runs[0].wall_sec) {
-        runs[0] = std::move(on);
-      }
-      if (off.wall_sec < unfused_run.wall_sec) {
-        unfused_run = std::move(off);
-      }
+  bool base_reps_identical = true;
+  for (int rep = 1; rep < 3; ++rep) {
+    WorkerRun again = run_once(1);
+    base_reps_identical =
+        base_reps_identical && SameScorecard(again.result, runs[0].result, pcts);
+    if (again.wall_sec < runs[0].wall_sec) {
+      runs[0] = std::move(again);
     }
   }
   for (const int workers : {2, 4, 8}) {
-    runs.push_back(run_once(workers, /*fusion=*/-1));
+    runs.push_back(run_once(workers));
   }
 
   // --- Bit-identity gate: every worker count is the same simulation. ---------
   bool identical = true;
   const harness::RunResult& ref = runs[0].result;
-  const std::vector<double> pcts = {50, 90, 95, 99, 99.9};
   for (size_t i = 1; i < runs.size(); ++i) {
     const harness::RunResult& r = runs[i].result;
-    // Fusion decisions are worker-independent too: the fast-path predicate
-    // reads only simulation state, so the fused-window count must match.
-    if (!SameScorecard(r, ref, pcts) ||
-        r.engine_fused_windows != ref.engine_fused_windows) {
+    if (!SameScorecard(r, ref, pcts)) {
       identical = false;
       std::fprintf(stderr,
                    "DETERMINISM VIOLATION: workers=%d diverged from workers=%d "
@@ -226,40 +211,11 @@ int main(int argc, char** argv) {
                    static_cast<long long>(ref.sim_duration));
     }
   }
-  if (!fusion_reps_identical) {
+  if (!base_reps_identical) {
     identical = false;
-    std::fprintf(stderr, "DETERMINISM VIOLATION: a fusion A/B rep diverged\n");
+    std::fprintf(stderr, "DETERMINISM VIOLATION: a workers=1 rep diverged\n");
   }
   std::printf("determinism across worker counts: %s\n", identical ? "OK" : "FAILED");
-
-  // --- Fusion value: the adjacent workers=1 run with the fast path disabled.
-  // Same scorecard (fusion is schedule-preserving, gated), fewer barriers and
-  // more events/s with it on (reported; perf itself is not gated).
-  const harness::RunResult& unfused = unfused_run.result;
-  const double fusion_wall_sec = unfused_run.wall_sec;
-  double fusion_barrier_ratio = 0;
-  double fusion_events_ratio = 0;
-  const bool fusion_identical =
-      SameScorecard(unfused, ref, pcts) && unfused.engine_fused_windows == 0;
-  {
-    if (!fusion_identical) {
-      identical = false;
-      std::fprintf(stderr, "DETERMINISM VIOLATION: fusion=off diverged from fusion=on\n");
-    }
-    const double unfused_barriers = static_cast<double>(unfused.engine_windows);
-    const double fused_barriers =
-        static_cast<double>(ref.engine_windows - ref.engine_fused_windows);
-    fusion_barrier_ratio = fused_barriers > 0 ? unfused_barriers / fused_barriers : 0;
-    fusion_events_ratio = unfused_run.events_per_sec > 0
-                              ? runs[0].events_per_sec / unfused_run.events_per_sec
-                              : 0;
-    std::printf(
-        "fusion (workers=1): barriers %llu -> %llu (%.1fx fewer), events/s %.2fx, "
-        "scorecard %s\n",
-        static_cast<unsigned long long>(unfused.engine_windows),
-        static_cast<unsigned long long>(ref.engine_windows - ref.engine_fused_windows),
-        fusion_barrier_ratio, fusion_events_ratio, fusion_identical ? "identical" : "DIVERGED");
-  }
 
   const double base_eps = runs[0].events_per_sec;
   std::printf("wall-clock scaling vs workers=1:");
@@ -273,16 +229,14 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // Deterministic parallelism exposed by the engine: total events over the
-  // busiest worker's events, adaptive map vs the static s % w map.
-  std::printf("critical-path speedup (host-independent, adaptive/static):");
+  // busiest worker's events under the adaptive shard maps.
+  std::printf("critical-path speedup (host-independent):");
   for (const auto& [w, cp] : ref.critical_path) {
-    std::printf("  %dw %.2fx/%.2fx", w,
-                cp > 0 ? static_cast<double>(ref.sim_events) / static_cast<double>(cp) : 0,
-                Lookup(ref.critical_path_static, w, ref.sim_events));
+    std::printf("  %dw %.2fx", w,
+                cp > 0 ? static_cast<double>(ref.sim_events) / static_cast<double>(cp) : 0);
   }
   std::printf("\n");
-  std::printf("imbalance max/mean at 8w: adaptive %.3f, static %.3f\n",
-              Lookup(ref.imbalance, 8), Lookup(ref.imbalance_static, 8));
+  std::printf("imbalance max/mean at 8w: %.3f\n", Lookup(ref.imbalance, 8));
   std::printf("events/window: p50 %.0f, p99 %.0f; windows=%llu fused=%llu\n",
               ref.events_per_window_p50, ref.events_per_window_p99,
               static_cast<unsigned long long>(ref.engine_windows),
@@ -312,9 +266,6 @@ int main(int argc, char** argv) {
                  "  \"events_per_window_p50\": %.1f,\n"
                  "  \"events_per_window_p99\": %.1f,\n"
                  "  \"imbalance_adaptive_8w\": %.4f,\n"
-                 "  \"imbalance_static_8w\": %.4f,\n"
-                 "  \"fusion\": {\"scorecard_identical\": %s, \"barrier_ratio\": %.2f,\n"
-                 "             \"events_per_sec_ratio\": %.3f, \"unfused_wall_sec\": %.3f},\n"
                  "  \"runs\": [\n",
                  small ? "small" : "full", disk ? "disk" : "ssd", opt.num_nodes,
                  opt.num_clients, static_cast<long long>(opt.num_keys_per_node) * opt.num_nodes,
@@ -326,24 +277,18 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(ref.engine_fused_windows),
                  static_cast<unsigned long long>(ref.cross_shard_messages),
                  ref.events_per_window_p50, ref.events_per_window_p99,
-                 Lookup(ref.imbalance, 8), Lookup(ref.imbalance_static, 8),
-                 fusion_identical ? "true" : "false", fusion_barrier_ratio,
-                 fusion_events_ratio, fusion_wall_sec);
+                 Lookup(ref.imbalance, 8));
     for (size_t i = 0; i < runs.size(); ++i) {
       const WorkerRun& run = runs[i];
       const double cp_speedup = Lookup(ref.critical_path, run.workers, ref.sim_events);
-      const double cp_static = Lookup(ref.critical_path_static, run.workers, ref.sim_events);
       std::fprintf(out,
                    "    {\"workers\": %d, \"wall_sec\": %.3f, \"events_per_sec\": %.0f,\n"
                    "     \"wall_speedup_valid\": %s, \"speedup_vs_1\": %.3f,\n"
-                   "     \"critical_path_speedup\": %.3f, "
-                   "\"critical_path_speedup_static\": %.3f,\n"
-                   "     \"imbalance\": %.4f, \"imbalance_static\": %.4f}%s\n",
+                   "     \"critical_path_speedup\": %.3f, \"imbalance\": %.4f}%s\n",
                    run.workers, run.wall_sec, run.events_per_sec,
                    run.wall_valid ? "true" : "false",
                    run.wall_valid && base_eps > 0 ? run.events_per_sec / base_eps : 0,
-                   cp_speedup, cp_static, Lookup(ref.imbalance, run.workers),
-                   Lookup(ref.imbalance_static, run.workers),
+                   cp_speedup, Lookup(ref.imbalance, run.workers),
                    i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

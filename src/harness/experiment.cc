@@ -613,8 +613,6 @@ RunResult Experiment::Run(StrategyKind kind) {
   eopt.num_shards = num_shards;
   eopt.lookahead = cluster::MinOneWayHop(copt.network);
   eopt.workers = options_.intra_workers;
-  eopt.rebalance_period = options_.engine_rebalance;
-  eopt.fusion = options_.engine_fusion;
   sim::ShardedEngine engine(eopt);
 
   for (int s = 0; s < num_shards; ++s) {
@@ -984,14 +982,8 @@ RunResult Experiment::Run(StrategyKind kind) {
     if (const uint64_t cp = engine.critical_path_events(w); cp != 0) {
       result.critical_path.emplace_back(w, cp);
     }
-    if (const uint64_t cp = engine.critical_path_events_static(w); cp != 0) {
-      result.critical_path_static.emplace_back(w, cp);
-    }
     if (const double r = engine.imbalance_ratio(w); r != 0) {
       result.imbalance.emplace_back(w, r);
-    }
-    if (const double r = engine.imbalance_ratio_static(w); r != 0) {
-      result.imbalance_static.emplace_back(w, r);
     }
   }
   if (faults != nullptr) {

@@ -204,14 +204,6 @@ struct ExperimentOptions {
   // (default 1). Any value produces bit-identical results; it composes with
   // MITT_TRIAL_WORKERS (total threads ~= product, so split the budget).
   int intra_workers = 0;
-  // Engine knobs, forwarded to ShardedEngine::Options verbatim. Both are
-  // schedule-preserving (results identical at any setting):
-  // windows between adaptive LPT repacks (0 = static s % workers map,
-  // < 0 = $MITT_ENGINE_REBALANCE else 64) ...
-  int engine_rebalance = -1;
-  // ... and quiet-frontier window fusion (0 = off, 1 = on,
-  // < 0 = $MITT_ENGINE_FUSION != "0" else on).
-  int engine_fusion = -1;
 
   // Per-trial invariant-oracle harvest (src/chaos/): wrap every issued get
   // with exactly-once / conservation accounting, record breaker transitions,
@@ -293,25 +285,23 @@ struct RunResult {
   uint64_t sim_events = 0;
   int num_shards = 1;
   uint64_t engine_windows = 0;
-  // Windows that ran through the quiet-frontier fast path (no drain scan,
-  // no pool handoff); engine_windows - engine_fused_windows = barriers paid.
+  // Windows with a single ready shard, run inline on the coordinator (no
+  // pool handoff); engine_windows - engine_fused_windows = multi-shard
+  // windows.
   uint64_t engine_fused_windows = 0;
   uint64_t cross_shard_messages = 0;
   // Executed events per window, approximate percentiles from the engine's
   // log-bucket histogram (0 for one-shard runs, which open no windows).
   double events_per_window_p50 = 0;
   double events_per_window_p99 = 0;
-  // (workers, critical-path events) pairs under the engine's map policy
-  // (adaptive when rebalancing is on): sim_events / cp is the ideal w-core
-  // speedup, deterministic and host-independent (see
-  // ShardedEngine::critical_path_events()). critical_path_static is the
-  // same sum under the frozen s % workers map — the before/after pair.
+  // (workers, critical-path events) pairs under the engine's adaptive
+  // shard->worker maps: sim_events / cp is the ideal w-core speedup,
+  // deterministic and host-independent (see
+  // ShardedEngine::critical_path_events()).
   std::vector<std::pair<int, uint64_t>> critical_path;
-  std::vector<std::pair<int, uint64_t>> critical_path_static;
   // Whole-run per-worker executed-event imbalance (max/mean, 1.0 = perfect)
-  // per hypothetical worker count, adaptive map vs static s % w map.
+  // per hypothetical worker count, under the same maps.
   std::vector<std::pair<int, double>> imbalance;
-  std::vector<std::pair<int, double>> imbalance_static;
 
   // Resilience harvest (src/resilience/). For naive strategies,
   // unbounded_deadline_tries counts deadline-disabled last-try sends; the

@@ -1,13 +1,11 @@
 // Tournament-tree min index over per-shard event frontiers.
 //
 // The sharded engine needs, at every conservative barrier: the earliest
-// pending event time across shards (the window frontier), the shard holding
-// it, the earliest time among the *other* shards (the fusion horizon — see
-// sharded_engine.h "quiet-frontier fusion"), and the set of shards with
-// events below a window end. A flat rescan is O(S) per window and was the
-// dominant bookkeeping term in low-density worlds where windows hold ~11
-// events; this index makes every update O(log S) and lets the per-window
-// cost scale with the shards that actually moved.
+// pending event time across shards (the window frontier) and the set of
+// shards with events below a window end. A flat rescan is O(S) per window
+// and was the dominant bookkeeping term in low-density worlds where windows
+// hold ~11 events; this index makes every update O(log S) and lets the
+// per-window cost scale with the shards that actually moved.
 //
 // Layout: a complete binary tree over `cap` (= S rounded up to a power of
 // two) leaves, stored as the classic implicit array of 2*cap nodes; leaf s
@@ -57,34 +55,8 @@ class FrontierIndex {
     }
   }
 
-  TimeNs Get(int s) const { return tree_[static_cast<size_t>(cap_ + s)]; }
-
   // Earliest frontier over all shards (kEmpty when none has events). O(1).
   TimeNs Min() const { return tree_[1]; }
-
-  // The lowest-numbered shard holding Min(). Descends left-first, so ties
-  // resolve to the smaller shard id deterministically. O(log S).
-  int MinShard() const {
-    size_t i = 1;
-    const TimeNs m = tree_[1];
-    while (i < static_cast<size_t>(cap_)) {
-      i = (tree_[i * 2] == m) ? i * 2 : i * 2 + 1;
-    }
-    return static_cast<int>(i - static_cast<size_t>(cap_));
-  }
-
-  // Earliest frontier excluding `min_shard` (pass MinShard()): the min over
-  // every sibling subtree along the root-to-leaf path. This is the fusion
-  // horizon — no other shard can run before it. O(log S).
-  TimeNs MinExcluding(int min_shard) const {
-    TimeNs best = kEmpty;
-    size_t i = static_cast<size_t>(cap_ + min_shard);
-    while (i > 1) {
-      best = std::min(best, tree_[i ^ 1]);  // Sibling subtree.
-      i >>= 1;
-    }
-    return best;
-  }
 
   // Calls f(shard) for every shard with frontier < bound, in ascending shard
   // order (left-to-right descent). Skips whole subtrees that cannot match,

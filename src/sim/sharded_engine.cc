@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
 
 namespace mitt::sim {
@@ -24,7 +22,7 @@ thread_local ShardContext tls_shard_context;
 // Spin iterations before parking on the futex (atomic wait). Windows are
 // microseconds apart when the engine is busy, so a short spin usually
 // catches the next epoch without a syscall; parking keeps idle workers off
-// the cores during long fused stretches and at end of run.
+// the cores during long one-shard stretches and at end of run.
 constexpr int kBarrierSpins = 1024;
 
 inline void CpuRelax() {
@@ -47,23 +45,6 @@ int DefaultIntraWorkers() {
   return 1;
 }
 
-int DefaultRebalancePeriod() {
-  if (const char* env = std::getenv("MITT_ENGINE_REBALANCE")) {
-    const int v = std::atoi(env);
-    if (v >= 0) {
-      return v;
-    }
-  }
-  return 64;
-}
-
-bool DefaultFusionEnabled() {
-  if (const char* env = std::getenv("MITT_ENGINE_FUSION")) {
-    return std::atoi(env) != 0;
-  }
-  return true;
-}
-
 ShardedEngine::ShardedEngine(const Options& options)
     : options_(options),
       frontier_(options.num_shards < 1 ? 1 : options.num_shards) {
@@ -73,9 +54,6 @@ ShardedEngine::ShardedEngine(const Options& options)
   if (workers_ > num_shards) {
     workers_ = num_shards;
   }
-  rebalance_period_ =
-      options_.rebalance_period >= 0 ? options_.rebalance_period : DefaultRebalancePeriod();
-  fusion_ = options_.fusion >= 0 ? options_.fusion != 0 : DefaultFusionEnabled();
 
   const auto S = static_cast<size_t>(num_shards);
   shards_.reserve(S);
@@ -111,7 +89,6 @@ ShardedEngine::ShardedEngine(const Options& options)
       maps_[k][static_cast<size_t>(s)] = static_cast<uint8_t>(s % w);
     }
     worker_events_[k].resize(static_cast<size_t>(w), 0);
-    worker_events_static_[k].resize(static_cast<size_t>(w), 0);
   }
   ready_shards_.reserve(S);
 }
@@ -193,15 +170,6 @@ uint64_t ShardedEngine::critical_path_events(int workers) const {
   return 0;
 }
 
-uint64_t ShardedEngine::critical_path_events_static(int workers) const {
-  for (size_t k = 0; k < kNumCpWorkerCounts; ++k) {
-    if (kCpWorkerCounts[k] == workers) {
-      return critical_path_static_[k];
-    }
-  }
-  return 0;
-}
-
 namespace {
 double ImbalanceOf(const std::vector<uint64_t>& bins) {
   uint64_t total = 0;
@@ -222,15 +190,6 @@ double ShardedEngine::imbalance_ratio(int workers) const {
   for (size_t k = 0; k < kNumCpWorkerCounts; ++k) {
     if (kCpWorkerCounts[k] == workers) {
       return ImbalanceOf(worker_events_[k]);
-    }
-  }
-  return 0;
-}
-
-double ShardedEngine::imbalance_ratio_static(int workers) const {
-  for (size_t k = 0; k < kNumCpWorkerCounts; ++k) {
-    if (kCpWorkerCounts[k] == workers) {
-      return ImbalanceOf(worker_events_static_[k]);
     }
   }
   return 0;
@@ -317,50 +276,24 @@ void ShardedEngine::AccountWindow() {
     window_events += delta;
   }
   window_hist_.Record(window_events);
-  const int num = num_shards();
+  // Bin the ready shards under each map, touching only their own bins: the
+  // busiest bin is the window's critical path at that worker count. The
+  // second pass flushes each bin into the whole-run totals once (later
+  // shards of the same bin find it zeroed) and leaves the scratch zeroed.
   for (size_t k = 0; k < kNumCpWorkerCounts; ++k) {
-    const int w = std::min(kCpWorkerCounts[k], num);
-    std::fill(cp_bin_scratch_.begin(), cp_bin_scratch_.begin() + w, 0);
+    const std::vector<uint8_t>& map = maps_[k];
     for (const int s : ready_shards_) {
-      cp_bin_scratch_[maps_[k][static_cast<size_t>(s)]] += cp_window_delta_[static_cast<size_t>(s)];
+      cp_bin_scratch_[map[static_cast<size_t>(s)]] += cp_window_delta_[static_cast<size_t>(s)];
     }
     uint64_t max_load = 0;
-    for (int worker = 0; worker < w; ++worker) {
-      worker_events_[k][static_cast<size_t>(worker)] += cp_bin_scratch_[static_cast<size_t>(worker)];
-      max_load = std::max(max_load, cp_bin_scratch_[static_cast<size_t>(worker)]);
+    for (const int s : ready_shards_) {
+      const uint8_t worker = map[static_cast<size_t>(s)];
+      uint64_t& bin = cp_bin_scratch_[worker];
+      worker_events_[k][worker] += bin;
+      max_load = std::max(max_load, bin);
+      bin = 0;
     }
     critical_path_[k] += max_load;
-
-    std::fill(cp_bin_scratch_.begin(), cp_bin_scratch_.begin() + w, 0);
-    for (const int s : ready_shards_) {
-      cp_bin_scratch_[static_cast<size_t>(s % w)] += cp_window_delta_[static_cast<size_t>(s)];
-    }
-    max_load = 0;
-    for (int worker = 0; worker < w; ++worker) {
-      worker_events_static_[k][static_cast<size_t>(worker)] +=
-          cp_bin_scratch_[static_cast<size_t>(worker)];
-      max_load = std::max(max_load, cp_bin_scratch_[static_cast<size_t>(worker)]);
-    }
-    critical_path_static_[k] += max_load;
-  }
-  ++windows_since_rebalance_;
-}
-
-void ShardedEngine::AccountFusedWindow(int s) {
-  const auto idx = static_cast<size_t>(s);
-  const uint64_t executed = shards_[idx]->executed_events();
-  const uint64_t delta = executed - cp_prev_executed_[idx];
-  cp_prev_executed_[idx] = executed;
-  rebalance_load_[idx] += delta;
-  window_hist_.Record(delta);
-  // Single active shard: the busiest bin is its bin under every map.
-  const int num = num_shards();
-  for (size_t k = 0; k < kNumCpWorkerCounts; ++k) {
-    const int w = std::min(kCpWorkerCounts[k], num);
-    critical_path_[k] += delta;
-    critical_path_static_[k] += delta;
-    worker_events_[k][maps_[k][idx]] += delta;
-    worker_events_static_[k][static_cast<size_t>(s % w)] += delta;
   }
   ++windows_since_rebalance_;
 }
@@ -553,7 +486,7 @@ void ShardedEngine::DrainMailboxes() {
 // between epochs (after every check-in of the previous one was observed).
 // Both sides spin kBarrierSpins before parking on C++20 atomic wait/notify
 // (a futex on Linux), so back-to-back windows stay syscall-free while idle
-// stretches — long fused batches, end of run — leave the cores free.
+// stretches — long one-shard runs, end of run — leave the cores free.
 
 void ShardedEngine::RunShardSubset(TimeNs window_end, int worker) {
   for (const int s : ready_shards_) {
@@ -675,28 +608,11 @@ bool ShardedEngine::RunLoop(const std::function<bool()>& pred) {
   // RunUntilPredicate round): resync every cached frontier once; inside the
   // loop only shards that moved are re-read.
   RefreshAllShards();
-  const bool debug_timing = std::getenv("MITT_ENGINE_TIMING") != nullptr;
-  double drain_sec = 0, exec_sec = 0;
-  const auto loop_t0 = std::chrono::steady_clock::now();
   for (;;) {
     if (dirty_count_.load(std::memory_order_relaxed) != 0) {
-      const auto t0 = std::chrono::steady_clock::now();
       DrainMailboxes();
-      if (debug_timing) {
-        drain_sec += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-      }
     }
     if (pred != nullptr && pred()) {
-      if (debug_timing) {
-        const double total =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - loop_t0).count();
-        std::fprintf(stderr,
-                     "[engine] total=%.2fs drain=%.2fs exec=%.2fs other=%.2fs "
-                     "windows=%llu fused=%llu\n",
-                     total, drain_sec, exec_sec, total - drain_sec - exec_sec,
-                     static_cast<unsigned long long>(windows_),
-                     static_cast<unsigned long long>(fused_windows_));
-      }
       return true;
     }
     if (nd_total_ == 0) {
@@ -718,42 +634,18 @@ bool ShardedEngine::RunLoop(const std::function<bool()>& pred) {
       window_end = globals_.front().when;  // > global_min, checked above.
     }
 
-    // Quiet-frontier fusion: exactly one shard below the horizon and no
-    // buffered traffic. The window is provably interaction-free — posts from
-    // it land at >= t + lookahead >= window_end (the lookahead bound) and
-    // every other shard is parked at or past the horizon — so it runs inline
-    // with O(1) bookkeeping: no drain scan, no pool handoff, one frontier
-    // leaf update. Window boundaries and pred-check instants are exactly the
-    // unfused schedule's, so results are byte-identical either way.
-    if (fusion_ && dirty_count_.load(std::memory_order_relaxed) == 0) {
-      const int s = frontier_.MinShard();
-      if (frontier_.MinExcluding(s) >= window_end) {
-        window_end_ = window_end;
-        tls_shard_context = {this, s};
-        shards_[static_cast<size_t>(s)]->RunWindow(window_end);
-        tls_shard_context = {this, 0};
-        window_end_ = 0;
-        RefreshShard(s);
-        AccountFusedWindow(s);
-        ++windows_;
-        ++fused_windows_;
-        continue;
-      }
-    }
-
-    // Full barrier path. The previous epoch's check-ins completed before
-    // ExecuteWindow returned, so refilling ready_shards_ needs no lock.
+    // The previous epoch's check-ins completed before ExecuteWindow
+    // returned, so refilling ready_shards_ needs no lock. A lone ready shard
+    // (a quiet frontier) runs inline whatever the map says, so repacks wait
+    // for a window with two or more ready shards.
     ready_shards_.clear();
     frontier_.ForEachBelow(window_end, [this](int s) { ready_shards_.push_back(s); });
-    if (rebalance_period_ > 0 &&
-        windows_since_rebalance_ >= static_cast<uint64_t>(rebalance_period_)) {
+    if (ready_shards_.size() == 1) {
+      ++fused_windows_;
+    } else if (windows_since_rebalance_ >= kRebalancePeriod) {
       Rebalance();
     }
-    const auto e0 = std::chrono::steady_clock::now();
     ExecuteWindow(window_end);
-    if (debug_timing) {
-      exec_sec += std::chrono::duration<double>(std::chrono::steady_clock::now() - e0).count();
-    }
     window_end_ = 0;  // Quiesced: no clamp floor between windows.
     for (const int s : ready_shards_) {
       RefreshShard(s);

@@ -37,30 +37,25 @@
 //     at a barrier, before any shard event at an equal-or-later time.
 //
 // Scale-out machinery (all of it schedule-preserving — the event order, and
-// therefore every scorecard, is byte-identical with each feature on or off
-// and at any worker count):
+// therefore every scorecard, is byte-identical at any worker count):
 //
-//   * Quiet-frontier window FUSION. When exactly one shard holds events
-//     below the window end (SecondMin >= global_min + L) and no cross-shard
-//     message is buffered, the window cannot interact with any other shard:
-//     messages posted inside it land at >= t + L >= window_end (the
-//     lookahead bound), and every other shard is parked at or beyond the
-//     horizon. Such windows run inline on the coordinator with O(1)
-//     bookkeeping — no drain scan, no pool handoff, no frontier rescan (only
-//     the active shard's leaf updates) — and a post or a second shard
-//     arriving at the frontier falls back to a full barrier, which drains
-//     the mailbox exactly where the unfused engine would have. Window
-//     boundaries, pred-check instants, and message delivery barriers are
-//     identical to the unfused schedule; only the per-window cost changes.
-//     Disk-bound low-density worlds (~11 events/shard-window) spend most
+//   * ONE window path, quiet frontiers included. When exactly one shard
+//     holds events below the window end, the window cannot interact with any
+//     other shard: messages posted inside it land at >= t + L >= window_end
+//     (the lookahead bound), and every other shard is parked at or beyond
+//     the horizon. The ready list then holds that one shard, which runs
+//     inline on the coordinator — no pool handoff — and its bookkeeping
+//     touches one frontier leaf and one bin per tracked worker count.
+//     Disk-bound low-density worlds (~11 events/shard-window) spend many
 //     windows here. fused_windows() counts them; windows_run() counts all.
 //   * ADAPTIVE shard->worker assignment. Per-shard executed-event deltas are
-//     accumulated per window; every rebalance_period windows the coordinator
-//     repacks the shard->worker map with a deterministic LPT bin-packing
-//     (heaviest shard first onto the least-loaded worker, ties by lowest
-//     id). Assignment only picks *which thread* runs a shard, never event
-//     order, so determinism is free; the load inputs are deterministic event
-//     counts, so the maps are identical at any actual worker count.
+//     accumulated per window; every kRebalancePeriod windows the coordinator
+//     repacks the shard->worker map, at the next window with two or more
+//     ready shards, with a deterministic LPT bin-packing (heaviest shard
+//     first onto the least-loaded worker, ties by lowest id). Assignment
+//     only picks *which thread* runs a shard, never event order, so
+//     determinism is free; the load inputs are deterministic event counts,
+//     so the maps are identical at any actual worker count.
 //   * SENSE-REVERSING ATOMIC BARRIER. The per-window pool handoff is a
 //     monotone epoch counter (the generalized sense — no flag ever needs a
 //     racy reset) plus a done counter, spin-then-park on C++20 atomic
@@ -75,8 +70,8 @@
 // Hot-path budget: mailbox slots hold InlineFunction closures (48-byte SBO)
 // in vectors that retain capacity across windows, and every scratch
 // structure (drain refs, dirty lists, ready list, LPT bins, frontiers) is
-// sized at construction, so the steady-state window loop — barrier, fusion,
-// and rebalance paths included — performs zero heap allocations (gated by
+// sized at construction, so the steady-state window loop — drains and
+// repacks included — performs zero heap allocations (gated by
 // tests/alloc_test.cc). The shard count is a pure function of the scenario
 // (never of worker count or hardware), which is what makes the worker-count
 // invariance total.
@@ -103,10 +98,6 @@ namespace mitt::sim {
 // trial-level parallelism is never oversubscribed implicitly).
 int DefaultIntraWorkers();
 
-// Env-resolved defaults for the engine knobs below. Exposed for tests.
-int DefaultRebalancePeriod();  // $MITT_ENGINE_REBALANCE, else 64.
-bool DefaultFusionEnabled();   // $MITT_ENGINE_FUSION != "0", else true.
-
 class ShardedEngine {
  public:
   struct Options {
@@ -118,16 +109,10 @@ class ShardedEngine {
     // Threads executing shard windows. <= 0 resolves via
     // DefaultIntraWorkers(). Results are bit-identical at any value.
     int workers = 0;
-    // Windows between adaptive LPT repacks of the shard->worker map.
-    // 0 = static map (shard s on worker s % workers, the pre-overhaul
-    // behavior); < 0 resolves via DefaultRebalancePeriod(). Never affects
-    // results, only which thread runs which shard.
-    int rebalance_period = -1;
-    // Quiet-frontier window fusion. 0 = off, 1 = on; < 0 resolves via
-    // DefaultFusionEnabled(). Schedule-preserving: results and window
-    // counts are identical either way, only per-window cost changes.
-    int fusion = -1;
   };
+
+  // Windows between adaptive LPT repacks of the shard->worker map.
+  static constexpr uint64_t kRebalancePeriod = 64;
 
   explicit ShardedEngine(const Options& options);
 
@@ -168,7 +153,7 @@ class ShardedEngine {
   // Runs windows until `pred()` returns true — checked at every barrier,
   // while quiesced — or the engine drains. Returns true if the predicate was
   // satisfied. Predicate evaluation is deterministic: barriers fall at the
-  // same simulated times for any worker count (and with fusion on or off).
+  // same simulated times for any worker count.
   //
   // A one-shard engine has no peer to wait for, so it opens no windows: it
   // steps its shard event by event, runs each global event before the first
@@ -182,33 +167,27 @@ class ShardedEngine {
   uint64_t executed_events() const;       // Summed over shards.
   uint64_t cross_shard_messages() const { return cross_messages_; }
   uint64_t windows_run() const { return windows_; }
-  // Windows executed through the quiet-frontier fast path: no mailbox
-  // drain, no pool handoff, O(1) bookkeeping. windows_run() includes them;
-  // windows_run() - fused_windows() is the number of full barriers paid.
+  // Windows with a single ready shard, run inline on the coordinator with no
+  // pool handoff. windows_run() includes them; windows_run() -
+  // fused_windows() is the number of multi-shard windows.
   uint64_t fused_windows() const { return fused_windows_; }
 
   // Critical-path event count for a hypothetical `workers`-thread run: the
   // sum over windows of the busiest worker's event count under the engine's
-  // shard->worker map policy (adaptive LPT maps maintained per hypothetical
-  // count when rebalancing is on, the static s % workers map when off).
+  // adaptive shard->worker maps (one maintained per hypothetical count).
   // executed_events() / critical_path_events(w) is the wall-clock speedup a
   // w-core host could reach, computed deterministically from event counts —
   // it is how the scaling bench reports parallelism on hosts with fewer
   // cores than workers. Tracked for workers in {1, 2, 4, 8, 16, 32};
-  // returns 0 for other values. critical_path_events_static(w) is the same
-  // sum under the static map regardless of policy — the before/after pair
-  // the scaling bench reports.
+  // returns 0 for other values.
   uint64_t critical_path_events(int workers) const;
-  uint64_t critical_path_events_static(int workers) const;
 
   // Whole-run executed-event imbalance for a hypothetical `workers`-thread
-  // run: max over workers of total events executed, divided by the mean —
-  // 1.0 is a perfect split. Same tracked counts as critical_path_events();
-  // returns 0 for untracked counts or before any window ran. The adaptive
-  // flavor reflects the engine's map policy; the static flavor always bins
-  // by s % workers.
+  // run under the same maps: max over workers of total events executed,
+  // divided by the mean — 1.0 is a perfect split. Same tracked counts as
+  // critical_path_events(); returns 0 for untracked counts or before any
+  // window ran.
   double imbalance_ratio(int workers) const;
-  double imbalance_ratio_static(int workers) const;
 
   // Approximate percentile (p in [0, 100]) of executed events per window,
   // from a fixed-size log-bucket histogram (8 sub-buckets per octave,
@@ -282,9 +261,8 @@ class ShardedEngine {
   void RefreshShard(int s);
   void RefreshAllShards();
   // Per-window load bookkeeping for the shards in ready_shards_ (quiesced).
+  // Touches only their bins: O(ready shards x tracked counts).
   void AccountWindow();
-  // One-shard window accounting for the fusion fast path: O(tracked counts).
-  void AccountFusedWindow(int s);
   // Deterministic LPT repack of every maintained shard->worker map from the
   // loads accumulated since the last repack. Runs quiesced at a barrier.
   void Rebalance();
@@ -296,8 +274,6 @@ class ShardedEngine {
 
   Options options_;
   int workers_ = 1;
-  int rebalance_period_ = 0;
-  bool fusion_ = true;
   std::vector<std::unique_ptr<Simulator>> shards_;
   std::vector<Mailbox> mail_;  // num_shards^2 rows, indexed [src * S + dst].
   std::vector<GlobalEvent> globals_;  // Min-heap on (when, seq).
@@ -329,17 +305,15 @@ class ShardedEngine {
   static constexpr int kCpWorkerCounts[] = {1, 2, 4, 8, 16, 32};
   static constexpr size_t kNumCpWorkerCounts = sizeof(kCpWorkerCounts) / sizeof(int);
   uint64_t critical_path_[kNumCpWorkerCounts] = {};
-  uint64_t critical_path_static_[kNumCpWorkerCounts] = {};
   std::vector<uint64_t> cp_prev_executed_;  // Per-shard last-seen executed.
   std::vector<uint64_t> cp_window_delta_;   // Per-shard events this window.
-  std::vector<uint64_t> cp_bin_scratch_;    // Per-worker bins, reused.
+  std::vector<uint64_t> cp_bin_scratch_;    // Per-worker bins, kept zeroed.
   // maps_[k][s] = worker running shard s in a hypothetical
   // kCpWorkerCounts[k]-thread run; assignment_[s] = worker for the actual
   // pool. Static (s % w) until the first Rebalance(), then LPT-packed.
   std::vector<uint8_t> maps_[kNumCpWorkerCounts];
   std::vector<uint8_t> assignment_;
-  std::vector<uint64_t> worker_events_[kNumCpWorkerCounts];   // Adaptive bins.
-  std::vector<uint64_t> worker_events_static_[kNumCpWorkerCounts];
+  std::vector<uint64_t> worker_events_[kNumCpWorkerCounts];  // Whole-run bins.
   std::vector<uint64_t> rebalance_load_;    // Per-shard events since repack.
   std::vector<int> lpt_order_;              // Shard ids, sorted by load.
   std::vector<uint64_t> lpt_bins_;          // Per-worker packed load.

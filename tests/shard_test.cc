@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/chaos/world.h"
@@ -15,12 +22,150 @@
 #include "src/harness/experiment.h"
 #include "src/harness/scenario_runner.h"
 #include "src/obs/export.h"
+#include "src/obs/gate.h"
 #include "src/sim/sharded_engine.h"
 
 namespace mitt {
 namespace {
 
 using harness::StrategyKind;
+
+// ------------------------------------------------------------- test worlds
+
+// Per-shard event logs: logs[s] is written only by shard s's events.
+using ShardLogs = std::vector<std::vector<int>>;
+
+uint64_t LogHash(const ShardLogs& logs) {
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over (shard, entries...).
+  for (size_t s = 0; s < logs.size(); ++s) {
+    hash = (hash ^ (s | 0x80000000ULL)) * 0x100000001b3ULL;
+    for (const int v : logs[s]) {
+      hash = (hash ^ static_cast<uint32_t>(v)) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+// Shard s runs s+1 self-rescheduling chains of `links` events, 30 us apart:
+// a skewed load whose shard->worker packing the rebalancer can improve.
+// Every event logs (chain, links left) on its shard.
+ShardLogs RunSkewedChains(sim::ShardedEngine& engine, int links) {
+  ShardLogs logs(static_cast<size_t>(engine.num_shards()));
+  std::vector<std::shared_ptr<std::function<void(int)>>> chains;
+  for (int s = 0; s < engine.num_shards(); ++s) {
+    for (int c = 0; c <= s; ++c) {
+      auto* sim = engine.shard(s);
+      auto* log = &logs[static_cast<size_t>(s)];
+      auto chain = std::make_shared<std::function<void(int)>>();
+      *chain = [sim, log, c, chain](int left) {
+        log->push_back(c * 100000 + left);
+        if (left > 0) {
+          sim->ScheduleAt(sim->Now() + Micros(30), [chain, left] { (*chain)(left - 1); });
+        }
+      };
+      sim->ScheduleAt(Micros(1) * (c + 1), [chain, links] { (*chain)(links - 1); });
+      chains.push_back(std::move(chain));
+    }
+  }
+  engine.Run();
+  for (auto& chain : chains) {
+    *chain = nullptr;  // Break the self-reference cycle (LSan flags it).
+  }
+  return logs;
+}
+
+// A 4-shard ring built to live in the quiet-frontier regime: a chain
+// self-schedules with gaps smaller than the lookahead (so its shard is the
+// lone shard below the window horizon for long stretches) and every 40th
+// link hops to the next shard. A sparse heartbeat on shard 0 shares some
+// windows with the chain, so both one-ready-shard and multi-shard windows
+// occur.
+ShardLogs RunQuietRing(sim::ShardedEngine& engine) {
+  ShardLogs logs(4);
+  std::function<void(int)> beat = [&](int left) {
+    logs[0].push_back(-left);
+    if (left > 0) {
+      auto* sim = engine.shard(0);
+      sim->ScheduleAt(sim->Now() + Micros(250), [&beat, left] { beat(left - 1); });
+    }
+  };
+  engine.shard(0)->ScheduleAt(Micros(3), [&beat] { beat(40); });
+  std::function<void(int, int)> link = [&](int shard, int left) {
+    logs[static_cast<size_t>(shard)].push_back(left);
+    if (left <= 0) {
+      return;
+    }
+    auto* sim = engine.shard(shard);
+    if (left % 40 == 0) {
+      const int dst = (shard + 1) % 4;
+      engine.Post(dst, sim->Now() + Micros(120), [&link, dst, left] { link(dst, left - 1); });
+    } else {
+      sim->ScheduleAt(sim->Now() + Micros(30), [&link, shard, left] { link(shard, left - 1); });
+    }
+  };
+  engine.shard(2)->ScheduleAt(Micros(5), [&link] { link(2, 400); });
+  engine.Run();
+  return logs;
+}
+
+sim::ShardedEngine::Options EngineOptions(int num_shards, int workers) {
+  sim::ShardedEngine::Options opt;
+  opt.num_shards = num_shards;
+  opt.lookahead = Micros(100);
+  opt.workers = workers;
+  return opt;
+}
+
+// Every engine counter a scorecard or bench reads, rendered exactly.
+std::string CounterCard(uint64_t windows, uint64_t fused, uint64_t events, uint64_t messages,
+                        TimeNs now, double epw_p50, double epw_p99,
+                        const std::vector<std::pair<int, uint64_t>>& critical_path,
+                        const std::vector<std::pair<int, double>>& imbalance) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "windows=%llu fused=%llu events=%llu msgs=%llu now=%lld epw=%.17g/%.17g",
+                static_cast<unsigned long long>(windows), static_cast<unsigned long long>(fused),
+                static_cast<unsigned long long>(events),
+                static_cast<unsigned long long>(messages), static_cast<long long>(now), epw_p50,
+                epw_p99);
+  std::string card = buf;
+  for (const auto& [w, cp] : critical_path) {
+    card += " cp" + std::to_string(w) + "=" + std::to_string(cp);
+  }
+  for (const auto& [w, ratio] : imbalance) {
+    std::snprintf(buf, sizeof(buf), " imb%d=%.17g", w, ratio);
+    card += buf;
+  }
+  return card;
+}
+
+std::string EngineCard(const sim::ShardedEngine& engine) {
+  std::vector<std::pair<int, uint64_t>> critical_path;
+  std::vector<std::pair<int, double>> imbalance;
+  for (const int w : {1, 2, 4, 8, 16, 32}) {
+    critical_path.emplace_back(w, engine.critical_path_events(w));
+    imbalance.emplace_back(w, engine.imbalance_ratio(w));
+  }
+  return CounterCard(engine.windows_run(), engine.fused_windows(), engine.executed_events(),
+                     engine.cross_shard_messages(), engine.Now(),
+                     engine.events_per_window_percentile(50),
+                     engine.events_per_window_percentile(99), critical_path, imbalance);
+}
+
+// The two engine worlds' event-log hashes and counter cards at workers=1
+// (RunQuietRing; RunSkewedChains with 1000 links), pinned by EnginePinTest.*.
+constexpr uint64_t kQuietRingLogHash = 0xaf39a2263b42e59dULL;
+constexpr char kQuietRingCard[] =
+    "windows=104 fused=73 events=442 msgs=10 now=12905000 epw=4/5 cp1=442 cp2=421 "
+    "cp4=411 cp8=411 cp16=411 cp32=411 imb1=1 imb2=1.0950226244343892 "
+    "imb4=1.4570135746606334 imb8=1.4570135746606334 imb16=1.4570135746606334 "
+    "imb32=1.4570135746606334";
+constexpr uint64_t kSkewedChainLogHash = 0x0965d499538b775dULL;
+constexpr char kSkewedChainCard[] =
+    "windows=250 fused=0 events=36000 msgs=0 now=29978000 epw=151.5/151.5 cp1=36000 "
+    "cp2=18512 cp4=9768 cp8=8000 cp16=8000 cp32=8000 imb1=1 imb2=1.0284444444444445 "
+    "imb4=1.0853333333333333 imb8=1.3795555555555556 imb16=1.3795555555555556 "
+    "imb32=1.3795555555555556";
 
 // ------------------------------------------------------------ engine basics
 
@@ -138,30 +283,8 @@ TEST(ShardedEngineTest, CriticalPathAccountingIsConsistent) {
   // worker count the engine actually ran with.
   std::vector<uint64_t> cp1, cp8;
   for (const int workers : {1, 4}) {
-    sim::ShardedEngine::Options opt;
-    opt.num_shards = 8;
-    opt.lookahead = Micros(100);
-    opt.workers = workers;
-    sim::ShardedEngine engine(opt);
-    std::vector<std::shared_ptr<std::function<void(int)>>> chains;
-    for (int s = 0; s < 8; ++s) {
-      // Uneven load: shard s runs s+1 chains of 50 self-rescheduling events.
-      for (int c = 0; c <= s; ++c) {
-        auto* sim = engine.shard(s);
-        auto chain = std::make_shared<std::function<void(int)>>();
-        *chain = [sim, chain](int left) {
-          if (left > 0) {
-            sim->ScheduleAt(sim->Now() + Micros(30), [chain, left] { (*chain)(left - 1); });
-          }
-        };
-        sim->ScheduleAt(Micros(1) * (c + 1), [chain] { (*chain)(49); });
-        chains.push_back(std::move(chain));
-      }
-    }
-    engine.Run();
-    for (auto& chain : chains) {
-      *chain = nullptr;  // Break the self-reference cycle (LSan flags it).
-    }
+    sim::ShardedEngine engine(EngineOptions(8, workers));
+    RunSkewedChains(engine, /*links=*/50);
     EXPECT_EQ(engine.critical_path_events(1), engine.executed_events());
     EXPECT_GE(engine.critical_path_events(1), engine.critical_path_events(2));
     EXPECT_GE(engine.critical_path_events(2), engine.critical_path_events(4));
@@ -202,99 +325,44 @@ TEST(ShardedEngineTest, WorkerCountDoesNotChangeWindowCount) {
 }
 
 TEST(ShardedEngineTest, FusionFastPathPreservesScheduleByteForByte) {
-  // A world built to live in the quiet-frontier regime: shard 2 self-chains
-  // with gaps smaller than the lookahead (so it is the lone shard below the
-  // window horizon for long stretches) and every 40th link posts across the
-  // ring (forcing fallbacks to the full barrier path). With fusion on, the
-  // fast path must engage — and every observable, including the per-shard
-  // event order and the *window count*, must be byte-identical to the
-  // unfused engine at any worker count.
-  auto run = [](int fusion, int workers) {
-    sim::ShardedEngine::Options opt;
-    opt.num_shards = 4;
-    opt.lookahead = Micros(100);
-    opt.workers = workers;
-    opt.fusion = fusion;
-    opt.rebalance_period = 0;
-    sim::ShardedEngine engine(opt);
-    std::vector<std::vector<int>> logs(4);  // Per-shard: written only by its owner.
-    std::function<void(int, int)> link = [&](int shard, int left) {
-      logs[static_cast<size_t>(shard)].push_back(left);
-      if (left <= 0) {
-        return;
-      }
-      auto* sim = engine.shard(shard);
-      if (left % 40 == 0) {
-        const int dst = (shard + 1) % 4;
-        engine.Post(dst, sim->Now() + Micros(120),
-                    [&link, dst, left] { link(dst, left - 1); });
-      } else {
-        sim->ScheduleAt(sim->Now() + Micros(30), [&link, shard, left] { link(shard, left - 1); });
-      }
-    };
-    engine.shard(2)->ScheduleAt(Micros(5), [&link] { link(2, 400); });
-    engine.Run();
-    return std::tuple(engine.windows_run(), engine.fused_windows(), engine.executed_events(),
-                      engine.cross_shard_messages(), engine.Now(), logs);
-  };
-  const auto fused = run(1, 1);
-  const auto unfused = run(0, 1);
-  EXPECT_GT(std::get<1>(fused), 0u) << "fast path never engaged";
-  EXPECT_EQ(std::get<1>(unfused), 0u);
-  EXPECT_EQ(std::get<0>(fused), std::get<0>(unfused)) << "fusion changed the window count";
-  EXPECT_EQ(std::get<2>(fused), std::get<2>(unfused));
-  EXPECT_EQ(std::get<3>(fused), std::get<3>(unfused));
-  EXPECT_EQ(std::get<4>(fused), std::get<4>(unfused));
-  EXPECT_EQ(std::get<5>(fused), std::get<5>(unfused)) << "event order diverged";
-  EXPECT_EQ(run(1, 4), fused) << "fusion decisions depended on worker count";
+  // In the quiet-ring world most windows hold one ready shard, which runs
+  // inline on the coordinator, and the rest hold two. With a worker pool
+  // present, the event order and every counter must still be the ones
+  // pinned at workers=1.
+  sim::ShardedEngine engine(EngineOptions(4, /*workers=*/4));
+  const ShardLogs logs = RunQuietRing(engine);
+  EXPECT_GT(engine.fused_windows(), 0u);
+  EXPECT_LT(engine.fused_windows(), engine.windows_run());
+  EXPECT_EQ(LogHash(logs), kQuietRingLogHash) << "event order diverged";
+  EXPECT_EQ(EngineCard(engine), kQuietRingCard) << "window decisions depended on worker count";
 }
 
 TEST(ShardedEngineTest, AdaptiveRebalanceIsScheduleInvariantAndBalances) {
-  // Skewed load (shard s runs s+1 event chains): the adaptive LPT repack
-  // must leave every schedule observable untouched — it only moves shards
-  // between threads — while packing the hypothetical 4-worker bins tighter
-  // than the static s % 4 map. Period 0 keeps the static map, in which case
-  // the adaptive and static imbalance ratios coincide by construction.
-  auto run = [](int period, int workers) {
-    sim::ShardedEngine::Options opt;
-    opt.num_shards = 8;
-    opt.lookahead = Micros(100);
-    opt.workers = workers;
-    opt.rebalance_period = period;
-    opt.fusion = 0;
-    sim::ShardedEngine engine(opt);
-    std::vector<std::shared_ptr<std::function<void(int)>>> chains;
-    for (int s = 0; s < 8; ++s) {
-      for (int c = 0; c <= s; ++c) {
-        auto* sim = engine.shard(s);
-        auto chain = std::make_shared<std::function<void(int)>>();
-        *chain = [sim, chain](int left) {
-          if (left > 0) {
-            sim->ScheduleAt(sim->Now() + Micros(30), [chain, left] { (*chain)(left - 1); });
-          }
-        };
-        sim->ScheduleAt(Micros(1) * (c + 1), [chain] { (*chain)(199); });
-        chains.push_back(std::move(chain));
-      }
+  // Skewed load (shard s runs s+1 event chains), long enough for several
+  // repacks: the adaptive LPT maps must pack the hypothetical 4-worker bins
+  // tighter than the static s % 4 map would have — computed here from the
+  // per-shard event totals — while every schedule observable stays
+  // independent of the worker count that actually ran.
+  auto run = [](int workers) {
+    sim::ShardedEngine engine(EngineOptions(8, workers));
+    const ShardLogs logs = RunSkewedChains(engine, /*links=*/1000);
+    std::vector<uint64_t> static_bins(4, 0);
+    for (int s = 0; s < engine.num_shards(); ++s) {
+      static_bins[static_cast<size_t>(s % 4)] += engine.shard(s)->executed_events();
     }
-    engine.Run();
-    for (auto& chain : chains) {
-      *chain = nullptr;  // Break the self-reference cycle (LSan flags it).
-    }
+    const uint64_t max_bin = *std::max_element(static_bins.begin(), static_bins.end());
+    const double static_imbalance = static_cast<double>(max_bin) * 4.0 /
+                                    static_cast<double>(engine.executed_events());
     return std::tuple(engine.windows_run(), engine.executed_events(), engine.Now(),
-                      engine.imbalance_ratio(4), engine.imbalance_ratio_static(4));
+                      LogHash(logs), engine.imbalance_ratio(4), static_imbalance);
   };
-  const auto statc = run(0, 1);
-  const auto adaptive = run(8, 1);
-  EXPECT_EQ(std::get<0>(statc), std::get<0>(adaptive));
-  EXPECT_EQ(std::get<1>(statc), std::get<1>(adaptive));
-  EXPECT_EQ(std::get<2>(statc), std::get<2>(adaptive));
-  EXPECT_EQ(std::get<3>(statc), std::get<4>(statc)) << "period 0 must keep the static map";
-  EXPECT_LT(std::get<3>(adaptive), std::get<4>(adaptive))
-      << "LPT should beat s % w on a skewed world";
+  const auto one = run(1);
+  EXPECT_GE(std::get<0>(one), 3 * sim::ShardedEngine::kRebalancePeriod)
+      << "the run must span several repack periods";
+  EXPECT_LT(std::get<4>(one), std::get<5>(one)) << "LPT should beat s % w on a skewed world";
   // Accounting (including imbalance) is derived from event counts, so it is
   // itself bit-deterministic across worker counts.
-  EXPECT_EQ(run(8, 4), adaptive);
+  EXPECT_EQ(run(4), one);
 }
 
 // ------------------------------------- 1000-node chaos scorecard property
@@ -318,13 +386,10 @@ harness::ExperimentOptions ChaosWorld() {
   return base;
 }
 
-std::string ChaosScorecard(int intra_workers, int trial_workers, int engine_fusion = -1,
-                           int engine_rebalance = -1) {
+std::string ChaosScorecard(int intra_workers, int trial_workers) {
   harness::ScenarioRunner::Options opt;
   opt.base = ChaosWorld();
   opt.base.intra_workers = intra_workers;
-  opt.base.engine_fusion = engine_fusion;
-  opt.base.engine_rebalance = engine_rebalance;
   opt.strategies = {StrategyKind::kMittos};
   opt.workers = trial_workers;
   harness::ScenarioRunner runner(opt);
@@ -354,26 +419,6 @@ TEST(ShardDeterminismTest, ChaosScorecardIsByteIdenticalAcrossWorkerGrids) {
   EXPECT_EQ(ChaosScorecard(1, 4), reference);
 }
 
-TEST(ShardDeterminismTest, FusionAndRebalanceKeepChaosScorecardByteIdentical) {
-  // The scale-out machinery is schedule-preserving: the chaos scorecard with
-  // window fusion disabled, or with the static shard map (rebalance period
-  // 0), must be byte-identical to the default engine's (fusion on, adaptive
-  // LPT repacks every 64 windows) — at every {intra} x {trial} grid corner.
-  const std::string reference = ChaosScorecard(/*intra_workers=*/1, /*trial_workers=*/1);
-  ASSERT_FALSE(reference.empty());
-  // Unfused engine across the grid.
-  EXPECT_EQ(ChaosScorecard(1, 1, /*engine_fusion=*/0), reference);
-  EXPECT_EQ(ChaosScorecard(2, 4, /*engine_fusion=*/0), reference);
-  EXPECT_EQ(ChaosScorecard(8, 1, /*engine_fusion=*/0), reference);
-  // Static-map engine across the grid.
-  EXPECT_EQ(ChaosScorecard(1, 4, -1, /*engine_rebalance=*/0), reference);
-  EXPECT_EQ(ChaosScorecard(2, 1, -1, /*engine_rebalance=*/0), reference);
-  EXPECT_EQ(ChaosScorecard(8, 4, -1, /*engine_rebalance=*/0), reference);
-  // Both off at the far grid corner, and an aggressive repack cadence.
-  EXPECT_EQ(ChaosScorecard(8, 4, 0, 0), reference);
-  EXPECT_EQ(ChaosScorecard(2, 4, -1, /*engine_rebalance=*/4), reference);
-}
-
 TEST(ShardDeterminismTest, IntraWorkerEnvVarIsHonored) {
   // MITT_INTRA_WORKERS is the env knob CI sets; resolving through it must be
   // the same as setting intra_workers explicitly.
@@ -383,6 +428,46 @@ TEST(ShardDeterminismTest, IntraWorkerEnvVarIsHonored) {
   ASSERT_EQ(unsetenv("MITT_INTRA_WORKERS"), 0);
   EXPECT_EQ(sim::DefaultIntraWorkers(), 1);
   EXPECT_EQ(via_env, ChaosScorecard(/*intra_workers=*/2, /*trial_workers=*/1));
+}
+
+// ----------------------------------------------------- engine counter pins
+
+// The window loop's schedule — window boundaries, which windows run a lone
+// ready shard, when the shard->worker map is repacked — and its load
+// accounting are pinned outright: a change to the loop must reproduce every
+// counter below. (The tests above check that a worker pool changes none of
+// them.)
+
+TEST(EnginePinTest, QuietRingCountersArePinned) {
+  sim::ShardedEngine engine(EngineOptions(4, /*workers=*/1));
+  const ShardLogs logs = RunQuietRing(engine);
+  EXPECT_EQ(LogHash(logs), kQuietRingLogHash);
+  EXPECT_EQ(EngineCard(engine), kQuietRingCard);
+}
+
+TEST(EnginePinTest, SkewedChainCountersArePinned) {
+  sim::ShardedEngine engine(EngineOptions(8, /*workers=*/1));
+  const ShardLogs logs = RunSkewedChains(engine, /*links=*/1000);
+  EXPECT_EQ(LogHash(logs), kSkewedChainLogHash);
+  EXPECT_EQ(EngineCard(engine), kSkewedChainCard);
+}
+
+TEST(EnginePinTest, ChaosWorldCountersArePinned) {
+  harness::ExperimentOptions opt = ChaosWorld();
+  opt.intra_workers = 1;
+  fault::ChaosOptions chaos;
+  chaos.mean_gap = Seconds(2);
+  opt.fault_plan = fault::GenerateChaosPlan(chaos, opt.num_nodes, /*horizon=*/Seconds(30),
+                                            /*seed=*/7);
+  const harness::RunResult r = harness::Experiment(opt).Run(StrategyKind::kMittos);
+  ASSERT_EQ(r.num_shards, 31);
+  EXPECT_EQ(CounterCard(r.engine_windows, r.engine_fused_windows, r.sim_events,
+                        r.cross_shard_messages, r.sim_duration, r.events_per_window_p50,
+                        r.events_per_window_p99, r.critical_path, r.imbalance),
+            "windows=138 fused=8 events=7098 msgs=2532 now=21589619 epw=33.5/199.5 cp1=7098 "
+            "cp2=4118 cp4=2529 cp8=1708 cp16=1243 cp32=913 imb1=1 imb2=1.018596787827557 "
+            "imb4=1.0904480135249366 imb8=1.0662158354466047 imb16=1.1879402648633417 "
+            "imb32=1.2665539588616512");
 }
 
 // ----------------------- one-shard world: faults + SLO-aware controller
@@ -471,13 +556,20 @@ TEST(ShardDeterminismTest, TraceExportIsByteIdenticalAcrossWorkerCounts) {
   };
   const harness::RunResult ref = run(1);
   ASSERT_EQ(ref.num_shards, 8);
+#if MITT_OBS_ENABLED
+  // Spans are recorded only when observability is compiled in.
   ASSERT_GT(ref.trace_dropped, 0u) << "ring must wrap to exercise drop-oldest";
   const std::string ref_json = obs::ChromeTraceJson(ref.trace_spans, "scale");
+#endif
   for (const int workers : {2, 8}) {
     const harness::RunResult r = run(workers);
+    EXPECT_EQ(r.requests, ref.requests) << "workers=" << workers;
+    EXPECT_EQ(r.sim_events, ref.sim_events) << "workers=" << workers;
+#if MITT_OBS_ENABLED
     EXPECT_EQ(r.trace_dropped, ref.trace_dropped) << "workers=" << workers;
     EXPECT_EQ(obs::ChromeTraceJson(r.trace_spans, "scale"), ref_json)
         << "workers=" << workers;
+#endif
   }
 }
 
