@@ -10,10 +10,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "src/chaos/explorer.h"
+#include "src/obs/export.h"
 
 int main(int argc, char** argv) {
   using namespace mitt;
@@ -67,12 +67,10 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "bench_chaos: cannot write %s\n", json_path.c_str());
+    if (std::string error; !obs::WriteTextFile(json_path, report.ToJson(), &error)) {
+      std::fprintf(stderr, "bench_chaos: cannot write %s\n", error.c_str());
       return 64;
     }
-    out << report.ToJson();
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;  // Report-only: findings are data here, not failures.

@@ -17,7 +17,6 @@
 // Usage: bench_failslow [scorecard.json] [chrome_trace.json]
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "bench/accuracy_replay.h"
@@ -111,16 +110,13 @@ void PrintAccuracyRow(const char* label, const bench::AccuracyResult& r) {
               r.mean_wrong_diff_ms, ToMillis(r.deadline));
 }
 
-std::string AccuracyJson(const char* backend, double multiplier,
-                         const bench::AccuracyResult& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"backend\": \"%s\", \"fail_slow_multiplier\": %.1f, "
-                "\"false_positive_pct\": %.3f, \"false_negative_pct\": %.3f, "
-                "\"inaccuracy_pct\": %.3f, \"mean_wrong_diff_ms\": %.3f}",
-                backend, multiplier, r.false_positive_pct, r.false_negative_pct,
-                r.inaccuracy_pct, r.mean_wrong_diff_ms);
-  return buf;
+void WriteAccuracy(obs::JsonWriter& w, const char* backend, double multiplier,
+                   const bench::AccuracyResult& r) {
+  w.BeginObject().Field("backend", backend).Field("fail_slow_multiplier", multiplier);
+  w.Field("false_positive_pct", r.false_positive_pct);
+  w.Field("false_negative_pct", r.false_negative_pct);
+  w.Field("inaccuracy_pct", r.inaccuracy_pct);
+  w.Field("mean_wrong_diff_ms", r.mean_wrong_diff_ms).EndObject();
 }
 
 }  // namespace
@@ -164,7 +160,14 @@ int main(int argc, char** argv) {
   // --- Part 3: organic prediction error under degradation ---
   std::printf("\n--- Predictor accuracy on a degrading device (profile stays healthy) ---\n");
   workload::TraceProfile profile = workload::PaperTraceProfiles()[0];
-  std::vector<std::string> accuracy_json;
+  // The artifact: both scorecards, then one accuracy row per replay below.
+  obs::JsonWriter w;
+  obs::BeginBenchArtifact(w, "failslow");
+  w.Key("disk");
+  harness::WriteScorecard(w, disk_scores, disk_runner.slo_deadline());
+  w.Key("ssd");
+  harness::WriteScorecard(w, ssd_scores, ssd_runner.slo_deadline());
+  w.Key("accuracy").BeginArray();
   for (const os::BackendKind backend : {os::BackendKind::kDiskCfq, os::BackendKind::kSsd}) {
     const char* name = backend == os::BackendKind::kDiskCfq ? "MittCFQ" : "MittSSD";
     std::printf("%s:\n", name);
@@ -182,20 +185,17 @@ int main(int argc, char** argv) {
       std::snprintf(label, sizeof(label), "%s x%.0f", multiplier == 1.0 ? "healthy" : "fail-slow",
                     multiplier);
       PrintAccuracyRow(label, r);
-      accuracy_json.push_back(AccuracyJson(name, multiplier, r));
+      WriteAccuracy(w, name, multiplier, r);
     }
   }
+  w.EndArray().EndObject();
 
   // --- Artifacts ---
   if (argc > 1) {
-    std::ofstream out(argv[1]);
-    out << "{\n  \"disk\": " << harness::ScorecardJson(disk_scores, disk_runner.slo_deadline())
-        << ",\n  \"ssd\": " << harness::ScorecardJson(ssd_scores, ssd_runner.slo_deadline())
-        << ",\n  \"accuracy\": [\n";
-    for (size_t i = 0; i < accuracy_json.size(); ++i) {
-      out << accuracy_json[i] << (i + 1 < accuracy_json.size() ? "," : "") << "\n";
+    if (std::string error; !obs::WriteTextFile(argv[1], w.str(), &error)) {
+      std::fprintf(stderr, "bench_failslow: cannot write %s\n", error.c_str());
+      return 1;
     }
-    out << "  ]\n}\n";
     std::printf("\nwrote scorecard JSON to %s\n", argv[1]);
   }
   if (argc > 2) {
@@ -203,8 +203,11 @@ int main(int argc, char** argv) {
     // frame the windows where EBUSY failovers cluster.
     const size_t mitt_index = strategies.size() - 1;  // failslow-disk is scenario 0.
     const harness::RunResult& traced = disk_runner.results()[mitt_index];
-    std::ofstream out(argv[2]);
-    out << obs::ChromeTraceJson(traced.trace_spans, "failslow-disk/MittOS");
+    const std::string trace = obs::ChromeTraceJson(traced.trace_spans, "failslow-disk/MittOS");
+    if (std::string error; !obs::WriteTextFile(argv[2], trace, &error)) {
+      std::fprintf(stderr, "bench_failslow: cannot write %s\n", error.c_str());
+      return 1;
+    }
     std::printf("wrote Chrome trace (%zu spans) to %s\n", traced.trace_spans.size(), argv[2]);
   }
   return 0;

@@ -9,16 +9,18 @@
 //
 // Each probe is a plain steady-clock loop of kCallsPerRep calls; every line
 // reports the fastest of kReps reps (min-of-N de-noises shared hosts).
-// Report-only: nothing here is gated.
+// Report-only: nothing here is gated. Writes BENCH_overhead.json into the cwd.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/device/disk_profile.h"
 #include "src/device/ssd_profile.h"
+#include "src/obs/export.h"
 #include "src/os/mitt_cfq.h"
 #include "src/os/mitt_noop.h"
 #include "src/os/mitt_ssd.h"
@@ -158,16 +160,29 @@ double SimulatorEventsPerSec() {
 int main() {
   std::printf("bench_overhead: ns per call, fastest of %d reps of %llu calls\n", kReps,
               static_cast<unsigned long long>(kCallsPerRep));
+  obs::JsonWriter w;
+  obs::BeginBenchArtifact(w, "overhead");
+  w.Field("reps", kReps).Field("calls_per_rep", kCallsPerRep).Key("ns_per_call").BeginObject();
+  // One line per probe, also recorded under ns_per_call.
+  auto row = [&w](const std::string& label, const std::string& key, double ns) {
+    std::printf("  %-36s%8.1f ns\n", label.c_str(), ns);
+    w.Field(key, ns);
+  };
   for (const int procs : {1, 16, 128}) {
-    std::printf("  MittCFQ deadline check (%3d procs)  %8.1f ns\n", procs,
-                MittCfqDeadlineCheck(procs, kCallsPerRep));
+    char label[64];
+    std::snprintf(label, sizeof(label), "MittCFQ deadline check (%3d procs)", procs);
+    row(label, "mitt_cfq_procs" + std::to_string(procs), MittCfqDeadlineCheck(procs, kCallsPerRep));
   }
-  std::printf("  MittNoop deadline check             %8.1f ns\n",
-              MittNoopDeadlineCheck(kCallsPerRep));
-  std::printf("  MittSSD deadline check              %8.1f ns\n",
-              MittSsdDeadlineCheck(kCallsPerRep));
-  std::printf("  AddrCheck page-table probe          %8.1f ns\n", AddrCheckProbe(kCallsPerRep));
-  std::printf("  simulator event throughput          %8.2f M events/s\n",
-              SimulatorEventsPerSec() / 1e6);
+  row("MittNoop deadline check", "mitt_noop", MittNoopDeadlineCheck(kCallsPerRep));
+  row("MittSSD deadline check", "mitt_ssd", MittSsdDeadlineCheck(kCallsPerRep));
+  row("AddrCheck page-table probe", "addrcheck", AddrCheckProbe(kCallsPerRep));
+  const double events_per_sec = SimulatorEventsPerSec();
+  std::printf("  simulator event throughput          %8.2f M events/s\n", events_per_sec / 1e6);
+  w.EndObject().Field("sim_events_per_sec", events_per_sec).EndObject();
+  if (std::string error; !obs::WriteTextFile("BENCH_overhead.json", w.str(), &error)) {
+    std::fprintf(stderr, "bench_overhead: cannot write %s\n", error.c_str());
+    return 1;
+  }
+  std::printf("wrote BENCH_overhead.json\n");
   return 0;
 }

@@ -26,7 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -200,11 +200,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(trace_records), writer->streams_seen(),
                 trace_path.c_str());
   }
-  uint64_t trace_file_bytes = 0;
-  {
-    std::ifstream f(trace_path, std::ios::binary | std::ios::ate);
-    trace_file_bytes = static_cast<uint64_t>(f.tellg());
-  }
+  const uint64_t trace_file_bytes = std::filesystem::file_size(trace_path);
 
   // --- Part 1: scale / constant-memory pass ---
   const uint64_t replay_events = std::min(scale_events, trace_records);
@@ -275,34 +271,28 @@ int main(int argc, char** argv) {
 
   // --- Artifact ---
   if (json_path != nullptr) {
-    std::string json = "{\n  \"config\": {\"source\": \"" + obs::JsonEscape(source) +
-                       "\", \"small\": " + (small ? "true" : "false") +
-                       ", \"trace_records\": " + std::to_string(trace_records) +
-                       ", \"trace_file_bytes\": " + std::to_string(trace_file_bytes) + "},\n";
-    json += "  \"scale\": {\"events\": " + std::to_string(scale.events) +
-            ", \"sim_events\": " + std::to_string(scale.sim_events) +
-            ", \"wall_s\": " + std::to_string(scale.wall_s) +
-            ", \"maxrss_prefix_kb\": " + std::to_string(scale.maxrss_prefix_kb) +
-            ", \"maxrss_full_kb\": " + std::to_string(scale.maxrss_full_kb) +
-            ", \"maxrss_growth_kb\": " + std::to_string(rss_growth) + "},\n";
-    json += "  \"scorecard\": " + harness::ScorecardJson(scores, runner.slo_deadline()) + ",\n";
-    json += "  \"breakdown\": [";
-    for (size_t i = 0; i < breakdown.rows.size(); ++i) {
-      const obs::BreakdownRow& row = breakdown.rows[i];
-      json += std::string(i == 0 ? "" : ", ") + "{\"outcome\": \"" +
-              std::string(obs::RequestOutcomeName(row.outcome)) +
-              "\", \"requests\": " + std::to_string(row.requests) + "}";
+    obs::JsonWriter w;
+    obs::BeginBenchArtifact(w, "replay");
+    w.Key("config").BeginObject().Field("source", source).Field("small", small);
+    w.Field("trace_records", trace_records).Field("trace_file_bytes", trace_file_bytes);
+    w.EndObject().Key("scale").BeginObject();
+    w.Field("events", scale.events).Field("sim_events", scale.sim_events);
+    w.Field("wall_s", scale.wall_s).Field("maxrss_prefix_kb", scale.maxrss_prefix_kb);
+    w.Field("maxrss_full_kb", scale.maxrss_full_kb).Field("maxrss_growth_kb", rss_growth);
+    w.EndObject().Key("scorecard");
+    harness::WriteScorecard(w, scores, runner.slo_deadline());
+    w.Key("breakdown").BeginArray();
+    for (const obs::BreakdownRow& row : breakdown.rows) {
+      w.BeginObject().Field("outcome", obs::RequestOutcomeName(row.outcome));
+      w.Field("requests", row.requests).EndObject();
     }
-    json += "],\n";
-    json += "  \"determinism\": {\"identical\": " + std::string(identical ? "true" : "false") +
-            ", \"variants\": " + std::to_string(variants) +
-            ", \"scorecard_bytes\": " + std::to_string(reference.size()) + "}\n}\n";
-    if (!obs::ValidateJsonSyntax(json)) {
-      std::fprintf(stderr, "bench_replay: generated JSON failed validation\n");
+    w.EndArray().Key("determinism").BeginObject();
+    w.Field("identical", identical).Field("variants", variants);
+    w.Field("scorecard_bytes", reference.size()).EndObject().EndObject();
+    if (std::string error; !obs::WriteTextFile(json_path, w.str(), &error)) {
+      std::fprintf(stderr, "bench_replay: cannot write %s\n", error.c_str());
       return 1;
     }
-    std::ofstream out(json_path);
-    out << json;
     std::printf("\nwrote replay report to %s\n", json_path);
   }
 

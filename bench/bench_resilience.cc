@@ -27,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -178,12 +177,18 @@ int main(int argc, char** argv) {
 
   // --- Artifacts ---
   if (scorecard_path != nullptr) {
-    std::ofstream out(scorecard_path);
-    out << "{\n  \"resilience\": " << harness::ScorecardJson(scores, runner.slo_deadline());
+    obs::JsonWriter w;
+    obs::BeginBenchArtifact(w, "resilience");
+    w.Key("resilience");
+    harness::WriteScorecard(w, scores, runner.slo_deadline());
     if (!chaos_scores.empty()) {
-      out << ",\n  \"chaos\": " << harness::ScorecardJson(chaos_scores, runner.slo_deadline());
+      w.Key("chaos");
+      harness::WriteScorecard(w, chaos_scores, runner.slo_deadline());
     }
-    out << "\n}\n";
+    if (std::string error; !obs::WriteTextFile(scorecard_path, w.EndObject().str(), &error)) {
+      std::fprintf(stderr, "bench_resilience: cannot write %s\n", error.c_str());
+      return 1;
+    }
     std::printf("\nwrote scorecard JSON to %s\n", scorecard_path);
   }
   if (trace_path != nullptr) {
@@ -191,8 +196,12 @@ int main(int argc, char** argv) {
     // half-open / close instants frame the windows where the walk reordered.
     const size_t index = 1 * strategies.size() + 2;  // scenario 1, strategy 2.
     const harness::RunResult& traced = runner.results()[index];
-    std::ofstream out(trace_path);
-    out << obs::ChromeTraceJson(traced.trace_spans, "failslow-primary/MittOS+res");
+    const std::string trace =
+        obs::ChromeTraceJson(traced.trace_spans, "failslow-primary/MittOS+res");
+    if (std::string error; !obs::WriteTextFile(trace_path, trace, &error)) {
+      std::fprintf(stderr, "bench_resilience: cannot write %s\n", error.c_str());
+      return 1;
+    }
     std::printf("wrote Chrome trace (%zu spans) to %s\n", traced.trace_spans.size(), trace_path);
   }
   return 0;

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "src/harness/experiment.h"
+#include "src/obs/export.h"
 
 namespace {
 
@@ -246,54 +247,34 @@ int main(int argc, char** argv) {
               ToMillis(ref_get[2]), static_cast<unsigned long long>(ref.requests));
 
   const char* json_name = disk ? "BENCH_scalecore_disk.json" : "BENCH_scalecore.json";
-  FILE* out = std::fopen(json_name, "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"benchmark\": \"scalecore\",\n"
-                 "  \"mode\": \"%s\",\n"
-                 "  \"shape\": \"%s\",\n"
-                 "  \"workload\": {\"num_nodes\": %d, \"num_clients\": %d,\n"
-                 "               \"keys_total\": %lld, \"requests\": %zu,\n"
-                 "               \"scale_factor\": %d, \"gets_total\": %zu,\n"
-                 "               \"num_shards\": %d, \"seed\": %llu},\n"
-                 "  \"host_cpus\": %u,\n"
-                 "  \"deterministic_across_workers\": %s,\n"
-                 "  \"sim_events\": %llu,\n"
-                 "  \"engine_windows\": %llu,\n"
-                 "  \"fused_windows\": %llu,\n"
-                 "  \"cross_shard_messages\": %llu,\n"
-                 "  \"events_per_window_p50\": %.1f,\n"
-                 "  \"events_per_window_p99\": %.1f,\n"
-                 "  \"imbalance_adaptive_8w\": %.4f,\n"
-                 "  \"runs\": [\n",
-                 small ? "small" : "full", disk ? "disk" : "ssd", opt.num_nodes,
-                 opt.num_clients, static_cast<long long>(opt.num_keys_per_node) * opt.num_nodes,
-                 opt.measure_requests + opt.warmup_requests, opt.scale_factor, total_gets,
-                 opt.num_shards, static_cast<unsigned long long>(opt.seed), host_cpus,
-                 identical ? "true" : "false",
-                 static_cast<unsigned long long>(ref.sim_events),
-                 static_cast<unsigned long long>(ref.engine_windows),
-                 static_cast<unsigned long long>(ref.engine_fused_windows),
-                 static_cast<unsigned long long>(ref.cross_shard_messages),
-                 ref.events_per_window_p50, ref.events_per_window_p99,
-                 Lookup(ref.imbalance, 8));
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const WorkerRun& run = runs[i];
-      const double cp_speedup = Lookup(ref.critical_path, run.workers, ref.sim_events);
-      std::fprintf(out,
-                   "    {\"workers\": %d, \"wall_sec\": %.3f, \"events_per_sec\": %.0f,\n"
-                   "     \"wall_speedup_valid\": %s, \"speedup_vs_1\": %.3f,\n"
-                   "     \"critical_path_speedup\": %.3f, \"imbalance\": %.4f}%s\n",
-                   run.workers, run.wall_sec, run.events_per_sec,
-                   run.wall_valid ? "true" : "false",
-                   run.wall_valid && base_eps > 0 ? run.events_per_sec / base_eps : 0,
-                   cp_speedup, Lookup(ref.imbalance, run.workers),
-                   i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", json_name);
+  obs::JsonWriter w;
+  obs::BeginBenchArtifact(w, "scalecore");
+  w.Field("mode", small ? "small" : "full").Field("shape", disk ? "disk" : "ssd");
+  w.Key("workload").BeginObject();
+  w.Field("num_nodes", opt.num_nodes).Field("num_clients", opt.num_clients);
+  w.Field("keys_total", static_cast<int64_t>(opt.num_keys_per_node) * opt.num_nodes);
+  w.Field("requests", opt.measure_requests + opt.warmup_requests);
+  w.Field("scale_factor", opt.scale_factor).Field("gets_total", total_gets);
+  w.Field("num_shards", opt.num_shards).Field("seed", opt.seed).EndObject();
+  w.Field("deterministic_across_workers", identical).Field("sim_events", ref.sim_events);
+  w.Field("engine_windows", ref.engine_windows).Field("fused_windows", ref.engine_fused_windows);
+  w.Field("cross_shard_messages", ref.cross_shard_messages);
+  w.Field("events_per_window_p50", ref.events_per_window_p50);
+  w.Field("events_per_window_p99", ref.events_per_window_p99);
+  w.Field("imbalance_adaptive_8w", Lookup(ref.imbalance, 8));
+  w.Key("runs").BeginArray();
+  for (const WorkerRun& run : runs) {
+    w.BeginObject().Field("workers", run.workers).Field("wall_sec", run.wall_sec);
+    w.Field("events_per_sec", run.events_per_sec).Field("wall_speedup_valid", run.wall_valid);
+    w.Field("speedup_vs_1", run.wall_valid && base_eps > 0 ? run.events_per_sec / base_eps : 0);
+    w.Field("critical_path_speedup", Lookup(ref.critical_path, run.workers, ref.sim_events));
+    w.Field("imbalance", Lookup(ref.imbalance, run.workers)).EndObject();
   }
+  w.EndArray().EndObject();
+  if (std::string error; !obs::WriteTextFile(json_name, w.str(), &error)) {
+    std::fprintf(stderr, "bench_scalecore: cannot write %s\n", error.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", json_name);
   return identical ? 0 : 1;
 }

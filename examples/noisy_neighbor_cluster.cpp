@@ -79,13 +79,10 @@ int main() {
     return 1;
   }
   const char* path = "noisy_neighbor_trace.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "could not write %s\n", path);
+  if (std::string error; !obs::WriteTextFile(path, json, &error)) {
+    std::fprintf(stderr, "could not write %s\n", error.c_str());
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
   std::printf("\nWrote %s (%zu spans across %zu strategy runs) — open it in\n"
               "chrome://tracing; each strategy shows as its own process group.\n",
               path, mitt_run.trace_spans.size(), results.size());

@@ -101,15 +101,12 @@ int main() {
     return 1;
   }
   const char* path = "quickstart_trace.json";
-  if (std::FILE* f = std::fopen(path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nWrote %zu spans (%lu EBUSY) to %s — open it in chrome://tracing.\n",
-                tracer.size(), static_cast<unsigned long>(metrics.CounterTotal("ebusy_total")),
-                path);
-  } else {
-    std::fprintf(stderr, "could not write %s\n", path);
+  if (std::string error; !obs::WriteTextFile(path, json, &error)) {
+    std::fprintf(stderr, "could not write %s\n", error.c_str());
     return 1;
   }
+  std::printf("\nWrote %zu spans (%lu EBUSY) to %s — open it in chrome://tracing.\n",
+              tracer.size(), static_cast<unsigned long>(metrics.CounterTotal("ebusy_total")),
+              path);
   return 0;
 }

@@ -22,7 +22,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "src/chaos/explorer.h"
 #include "src/chaos/shrinker.h"
 #include "src/chaos/world.h"
+#include "src/obs/export.h"
 
 namespace {
 
@@ -43,16 +43,6 @@ int Usage() {
                "       chaos_tool replay FILE...\n"
                "       chaos_tool shrink FILE [--out FILE2] [--budget N]\n");
   return 64;
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    return false;
-  }
-  f << content;
-  f.flush();
-  return static_cast<bool>(f);
 }
 
 int RunSearchCmd(int argc, char** argv) {
@@ -118,8 +108,9 @@ int RunSearchCmd(int argc, char** argv) {
       std::printf("    wrote %s\n", path.c_str());
     }
   }
-  if (!json_path.empty() && !WriteFile(json_path, report.ToJson())) {
-    std::fprintf(stderr, "chaos_tool: cannot write %s\n", json_path.c_str());
+  if (std::string error;
+      !json_path.empty() && !obs::WriteTextFile(json_path, report.ToJson(), &error)) {
+    std::fprintf(stderr, "chaos_tool: cannot write %s\n", error.c_str());
     return 64;
   }
   if (expect_find && report.findings.empty()) {

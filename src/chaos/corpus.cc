@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "src/fault/plan_serde.h"
+#include "src/obs/export.h"
 
 namespace mitt::chaos {
 namespace {
@@ -195,18 +196,7 @@ bool CorpusEntryFromText(std::string_view text, CorpusEntry* out, std::string* e
 }
 
 bool SaveCorpusEntry(const std::string& path, const CorpusEntry& entry, std::string* error) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    *error = "cannot open for write: " + path;
-    return false;
-  }
-  f << CorpusEntryToText(entry);
-  f.flush();
-  if (!f) {
-    *error = "write failed: " + path;
-    return false;
-  }
-  return true;
+  return obs::WriteTextFile(path, CorpusEntryToText(entry), error);
 }
 
 bool LoadCorpusEntry(const std::string& path, CorpusEntry* out, std::string* error) {

@@ -1,11 +1,10 @@
 #include "src/chaos/explorer.h"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 
 #include "src/chaos/mutator.h"
 #include "src/chaos/shrinker.h"
+#include "src/obs/export.h"
 
 namespace mitt::chaos {
 namespace {
@@ -16,60 +15,22 @@ int64_t NowMs() {
       .count();
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string SearchReport::ToJson() const {
-  std::string j = "{\n";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "  \"trials\": %d,\n  \"shrink_trials\": %d,\n  \"corpus_size\": %zu,\n"
-                "  \"coverage_features\": %zu,\n  \"grid_checks\": %d,\n"
-                "  \"hit_time_budget\": %s,\n",
-                trials, shrink_trials, corpus_size, coverage_features, grid_checks,
-                hit_time_budget ? "true" : "false");
-  j += buf;
-  j += "  \"findings\": [";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    j += i == 0 ? "\n" : ",\n";
-    j += "    {\"oracle\": \"" + JsonEscape(f.oracle) + "\", \"strategy\": \"" +
-         JsonEscape(f.strategy) + "\", \"detail\": \"" + JsonEscape(f.detail) + "\", ";
-    std::snprintf(buf, sizeof(buf),
-                  "\"found_at_trial\": %d, \"shrink_trials\": %d, \"plan_episodes\": %zu, "
-                  "\"shrunk_episodes\": %zu}",
-                  f.found_at_trial, f.shrink_trials, f.plan.size(), f.shrunk.size());
-    j += buf;
+  obs::JsonWriter w;
+  obs::BeginBenchArtifact(w, "chaos");
+  w.Field("trials", trials).Field("shrink_trials", shrink_trials);
+  w.Field("corpus_size", corpus_size).Field("coverage_features", coverage_features);
+  w.Field("grid_checks", grid_checks).Field("hit_time_budget", hit_time_budget);
+  w.Key("findings").BeginArray();
+  for (const Finding& f : findings) {
+    w.BeginObject().Field("oracle", f.oracle).Field("strategy", f.strategy);
+    w.Field("detail", f.detail).Field("found_at_trial", f.found_at_trial);
+    w.Field("shrink_trials", f.shrink_trials).Field("plan_episodes", f.plan.size());
+    w.Field("shrunk_episodes", f.shrunk.size()).EndObject();
   }
-  j += findings.empty() ? "]\n" : "\n  ]\n";
-  j += "}\n";
-  return j;
+  return w.EndArray().EndObject().str();
 }
 
 SearchReport RunSearch(const ExplorerOptions& options) {

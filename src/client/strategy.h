@@ -55,7 +55,10 @@ class GetStrategy {
 
   // Tenant-aware issue. Strategies that understand placement routing and
   // per-class deadlines override this; the default drops the context and
-  // behaves like the single-tenant Get.
+  // behaves like the single-tenant Get. Clone, Hedged, Snitch, C3 and
+  // MittOS+res (ResilientMittosStrategy) do not override it yet, so under
+  // tenant drivers they neither route by placement nor carry the tenant or
+  // its class SLO (ROADMAP open item).
   virtual void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
     (void)ctx;
     Get(key, std::move(done));

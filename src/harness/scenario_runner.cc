@@ -1,6 +1,5 @@
 #include "src/harness/scenario_runner.h"
 
-#include <sstream>
 #include <utility>
 
 #include "src/common/table.h"
@@ -103,25 +102,26 @@ void PrintScorecard(const std::vector<StrategyScore>& scores, DurationNs slo_dea
   table.Print();
 }
 
-std::string ScorecardJson(const std::vector<StrategyScore>& scores, DurationNs slo_deadline) {
-  std::ostringstream out;
-  out << "{\n  \"slo_deadline_ms\": " << ToMillis(slo_deadline) << ",\n  \"scores\": [\n";
-  for (size_t i = 0; i < scores.size(); ++i) {
-    const StrategyScore& s = scores[i];
-    out << "    {\"scenario\": \"" << obs::JsonEscape(s.scenario) << "\", \"strategy\": \""
-        << obs::JsonEscape(s.strategy) << "\", \"p50_ms\": " << s.p50_ms
-        << ", \"p95_ms\": " << s.p95_ms << ", \"p99_ms\": " << s.p99_ms
-        << ", \"deadline_miss_pct\": " << s.deadline_miss_pct
-        << ", \"failovers\": " << s.failovers << ", \"fault_episodes\": " << s.fault_episodes
-        << ", \"user_errors\": " << s.user_errors << ", \"degraded_gets\": " << s.degraded_gets
-        << ", \"degraded_sheds\": " << s.degraded_sheds
-        << ", \"deadline_exhausted\": " << s.deadline_exhausted
-        << ", \"unbounded_tries\": " << s.unbounded_tries
-        << ", \"max_sent_deadline_ms\": " << s.max_sent_deadline_ms << "}"
-        << (i + 1 < scores.size() ? "," : "") << "\n";
+void WriteScorecard(obs::JsonWriter& w, const std::vector<StrategyScore>& scores,
+                    DurationNs slo_deadline) {
+  w.BeginObject().Field("slo_deadline_ms", ToMillis(slo_deadline)).Key("scores").BeginArray();
+  for (const StrategyScore& s : scores) {
+    w.BeginObject().Field("scenario", s.scenario).Field("strategy", s.strategy);
+    w.Field("p50_ms", s.p50_ms).Field("p95_ms", s.p95_ms).Field("p99_ms", s.p99_ms);
+    w.Field("deadline_miss_pct", s.deadline_miss_pct).Field("failovers", s.failovers);
+    w.Field("fault_episodes", s.fault_episodes).Field("user_errors", s.user_errors);
+    w.Field("degraded_gets", s.degraded_gets).Field("degraded_sheds", s.degraded_sheds);
+    w.Field("deadline_exhausted", s.deadline_exhausted);
+    w.Field("unbounded_tries", s.unbounded_tries);
+    w.Field("max_sent_deadline_ms", s.max_sent_deadline_ms).EndObject();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  w.EndArray().EndObject();
+}
+
+std::string ScorecardJson(const std::vector<StrategyScore>& scores, DurationNs slo_deadline) {
+  obs::JsonWriter w;
+  WriteScorecard(w, scores, slo_deadline);
+  return w.str();
 }
 
 }  // namespace mitt::harness

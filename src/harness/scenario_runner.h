@@ -26,6 +26,7 @@
 
 #include "src/fault/fault_plan.h"
 #include "src/harness/experiment.h"
+#include "src/obs/export.h"
 
 namespace mitt::harness {
 
@@ -84,7 +85,10 @@ class ScenarioRunner {
 // Paper-style table: one row per (scenario, strategy).
 void PrintScorecard(const std::vector<StrategyScore>& scores, DurationNs slo_deadline);
 
-// Machine-readable scorecard for BENCH_*.json artifacts.
+// Machine-readable scorecard: written as one value into a bench artifact,
+// or rendered alone (the string the determinism grids byte-compare).
+void WriteScorecard(obs::JsonWriter& w, const std::vector<StrategyScore>& scores,
+                    DurationNs slo_deadline);
 std::string ScorecardJson(const std::vector<StrategyScore>& scores, DurationNs slo_deadline);
 
 }  // namespace mitt::harness

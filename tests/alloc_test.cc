@@ -4,31 +4,19 @@
 // the cache) must perform ZERO heap allocations. bench_hotpath reports the
 // same counters; this binary fails the build if they regress.
 //
-// The counter hooks replace the global operator new/delete, which conflicts
-// with sanitizer interceptors, and the MITT_PREDICT_CHECK oracle allocates
-// map nodes per IO by design — in those builds the assertions are skipped.
+// The counter (src/common/alloc_counter.h) replaces the global operator
+// new/delete, which conflicts with sanitizer interceptors, and the
+// MITT_PREDICT_CHECK oracle allocates map nodes per IO by design — in those
+// builds the assertions are skipped.
 
 #include <gtest/gtest.h>
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define MITT_ALLOC_HOOKS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define MITT_ALLOC_HOOKS 0
-#endif
-#endif
-#ifndef MITT_ALLOC_HOOKS
-#define MITT_ALLOC_HOOKS 1
-#endif
+#include "src/common/alloc_counter.h"
 
 #if MITT_ALLOC_HOOKS
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -45,39 +33,6 @@
 #include "src/trace/cursor.h"
 #include "src/trace/replay.h"
 #include "src/trace/writer.h"
-
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace mitt {
 namespace {
@@ -162,9 +117,9 @@ uint64_t SteadyAllocs(os::BackendKind backend, uint64_t warmup_ios, uint64_t ste
       [&total, warmup_ios, &sim, warm_until] { return total >= warmup_ios && sim.Now() >= warm_until; });
 
   const uint64_t target = total + steady_ios;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   sim.RunUntilPredicate([&total, target] { return total >= target; });
-  return g_alloc_count.load(std::memory_order_relaxed) - before;
+  return AllocCount() - before;
 }
 
 #ifdef MITT_PREDICT_CHECK
@@ -221,9 +176,9 @@ TEST(SteadyStateAllocTest, CrossShardMailboxIsAllocationFree) {
   engine.RunUntilPredicate([&bounces] { return bounces >= kWarmup; });
 
   const uint64_t target = bounces + 20'000;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   engine.RunUntilPredicate([&bounces, target] { return bounces >= target; });
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_GE(engine.cross_shard_messages(), kWarmup + 20'000);
 }
 
@@ -258,9 +213,9 @@ TEST(SteadyStateAllocTest, FusionFastPathIsAllocationFree) {
 
   const uint64_t target = links + 20'000;
   const uint64_t fused_before = engine.fused_windows();
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   engine.RunUntilPredicate([&links, target] { return links >= target; });
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
   // ~5 links land in each 100µs window, so 20k links span ~4k windows, all
   // of them with a single ready shard.
   EXPECT_GT(engine.fused_windows() - fused_before, 2'000u)
@@ -304,9 +259,9 @@ TEST(SteadyStateAllocTest, TraceReplayHotLoopIsAllocationFree) {
   sim.RunUntilPredicate([&dispatched] { return dispatched >= 10'000; });
 
   const uint64_t target = dispatched + 40'000;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   sim.RunUntilPredicate([&dispatched, target] { return dispatched >= target; });
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
   std::remove(path.c_str());
 }
 
@@ -347,9 +302,9 @@ TEST(SteadyStateAllocTest, TenantLookupAndDriverHotLoopIsAllocationFree) {
   sim.RunUntilPredicate([&dispatched] { return dispatched >= 10'000; });
 
   const uint64_t target = dispatched + 40'000;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   sim.RunUntilPredicate([&dispatched, target] { return dispatched >= target; });
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_GT(slo_sum, 0);
   EXPECT_GT(node_sum, 0);
 }
@@ -369,7 +324,7 @@ TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
   }
   ASSERT_EQ(cache.resident_pages(), params.capacity_pages);
 
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = AllocCount();
   for (int i = 0; i < 50'000; ++i) {
     const int64_t off = rng.UniformInt(0, span - 1) * params.page_size;
     switch (i & 3) {
@@ -391,7 +346,7 @@ TEST(SteadyStateAllocTest, PageCacheHotOpsAreAllocationFree) {
         break;
     }
   }
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(AllocCount() - before, 0u);
 }
 
 }  // namespace

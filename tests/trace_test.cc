@@ -8,8 +8,10 @@
 // network.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -30,7 +32,11 @@
 namespace mitt {
 namespace {
 
-std::string TempPath(const std::string& name) { return testing::TempDir() + "trace_test_" + name; }
+// Per-process names: ctest runs each case as its own process, in parallel, so
+// cases that shared one path could delete or truncate each other's file.
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "trace_test_" + std::to_string(getpid()) + "_" + name;
+}
 
 std::string SampleTracePath() { return std::string(MITT_TEST_DATA_DIR) + "/sample_mix.mitttrace"; }
 
@@ -267,6 +273,18 @@ TEST_F(TraceValidationTest, RejectsTornUnfinishedFile) {
   EXPECT_EQ(trace::FileTraceCursor::Open(torn, &error), nullptr);
   EXPECT_FALSE(error.empty());
   std::remove(torn.c_str());
+}
+
+TEST_F(TraceValidationTest, FileTruncatedAfterOpenEndsTheTrace) {
+  // The file shrinks under an open cursor: the block reads come up short and
+  // the cursor reports end of trace rather than stale records or a fault.
+  std::string error;
+  auto cursor = trace::FileTraceCursor::Open(path_, &error);
+  ASSERT_NE(cursor, nullptr) << error;
+  std::filesystem::resize_file(path_, trace::kHeaderBytes);
+  trace::TraceEvent e;
+  EXPECT_FALSE(cursor->Next(&e));
+  EXPECT_FALSE(cursor->SeekToTimeUs(0));
 }
 
 // --- Seek-by-time ---
