@@ -167,6 +167,14 @@ int main(int argc, char** argv) {
 
   // --- Trace preparation ---
   const std::string trace_path = "bench_replay_trace.mitttrace";
+  // The trace is scratch input for this run only: removed on every return.
+  struct RemoveOnExit {
+    const std::string& path;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } const remove_trace{trace_path};
   uint64_t trace_records = 0;
   std::string source;
   if (csv != nullptr) {

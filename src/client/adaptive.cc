@@ -1,6 +1,7 @@
 #include "src/client/adaptive.h"
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 namespace mitt::client {
@@ -27,8 +28,9 @@ void SnitchStrategy::RefreshTick() {
   refresh_event_ = sim_->ScheduleDaemon(options_.update_interval, [this] { RefreshTick(); });
 }
 
-void SnitchStrategy::Get(uint64_t key, GetDoneFn done) {
-  const auto replicas = Replicas(key);
+void SnitchStrategy::Get(uint64_t key, const GetContext&, GetDoneFn done) {
+  const tenant::ReplicaGroup group = RouteReplicas(key, tenant::kNoTenant);
+  const std::span<const int32_t> replicas(group.node, static_cast<size_t>(group.size));
   int best = replicas[0];
   for (const int node : replicas) {
     if (snapshot_ns_[static_cast<size_t>(node)] < snapshot_ns_[static_cast<size_t>(best)]) {
@@ -51,7 +53,7 @@ void SnitchStrategy::Get(uint64_t key, GetDoneFn done) {
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
   SendGet(
       best, key, sched::kNoDeadline,
-      [this, best, start, shared_done](Status status) {
+      [this, best, start, shared_done](Status status, DurationNs) {
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];
         score = (1.0 - options_.ewma_alpha) * score + options_.ewma_alpha * sample;
@@ -85,8 +87,9 @@ double C3Strategy::Score(int node) const {
   return base + q * q * q * base * 0.1;
 }
 
-void C3Strategy::Get(uint64_t key, GetDoneFn done) {
-  const auto replicas = Replicas(key);
+void C3Strategy::Get(uint64_t key, const GetContext&, GetDoneFn done) {
+  const tenant::ReplicaGroup group = RouteReplicas(key, tenant::kNoTenant);
+  const std::span<const int32_t> replicas(group.node, static_cast<size_t>(group.size));
   int best = replicas[0];
   for (const int node : replicas) {
     if (Score(node) < Score(best)) {
@@ -98,7 +101,7 @@ void C3Strategy::Get(uint64_t key, GetDoneFn done) {
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
   SendGet(
       best, key, sched::kNoDeadline,
-      [this, best, start, shared_done](Status status) {
+      [this, best, start, shared_done](Status status, DurationNs) {
         --outstanding_[static_cast<size_t>(best)];
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];

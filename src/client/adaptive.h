@@ -38,7 +38,7 @@ class SnitchStrategy : public GetStrategy {
   ~SnitchStrategy() override;
 
   std::string_view name() const override { return "Snitch"; }
-  void Get(uint64_t key, GetDoneFn done) override;
+  void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
 
  private:
   void RefreshTick();
@@ -60,7 +60,7 @@ class C3Strategy : public GetStrategy {
              const Options& options);
 
   std::string_view name() const override { return "C3"; }
-  void Get(uint64_t key, GetDoneFn done) override;
+  void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
 
  private:
   double Score(int node) const;

@@ -7,8 +7,8 @@ namespace mitt::client {
 CloneStrategy::CloneStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed)
     : GetStrategy(sim, cluster, seed) {}
 
-void CloneStrategy::Get(uint64_t key, GetDoneFn done) {
-  const auto replicas = Replicas(key);
+void CloneStrategy::Get(uint64_t key, const GetContext&, GetDoneFn done) {
+  const tenant::ReplicaGroup replicas = RouteReplicas(key, tenant::kNoTenant);
   // Two distinct random replicas.
   const auto first = static_cast<size_t>(rng_.UniformInt(0, 2));
   size_t second = static_cast<size_t>(rng_.UniformInt(0, 1));
@@ -17,7 +17,7 @@ void CloneStrategy::Get(uint64_t key, GetDoneFn done) {
   }
   auto settled = std::make_shared<bool>(false);
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
-  auto on_reply = [settled, shared_done](Status status) {
+  auto on_reply = [settled, shared_done](Status status, DurationNs) {
     if (*settled) {
       return;  // The slower clone; discarded.
     }
@@ -25,8 +25,8 @@ void CloneStrategy::Get(uint64_t key, GetDoneFn done) {
     (*shared_done)({status, 2});
   };
   const obs::TraceContext trace = BeginTrace();
-  SendGet(replicas[first], key, sched::kNoDeadline, on_reply, trace);
-  SendGet(replicas[second], key, sched::kNoDeadline, on_reply, trace);
+  SendGet(replicas.node[first], key, sched::kNoDeadline, on_reply, trace);
+  SendGet(replicas.node[second], key, sched::kNoDeadline, on_reply, trace);
 }
 
 }  // namespace mitt::client

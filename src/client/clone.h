@@ -15,7 +15,7 @@ class CloneStrategy : public GetStrategy {
   CloneStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed);
 
   std::string_view name() const override { return "Clone"; }
-  void Get(uint64_t key, GetDoneFn done) override;
+  void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
 };
 
 }  // namespace mitt::client

@@ -8,13 +8,13 @@ HedgedStrategy::HedgedStrategy(sim::Simulator* sim, cluster::Cluster* cluster, u
                                const Options& options)
     : GetStrategy(sim, cluster, seed), options_(options) {}
 
-void HedgedStrategy::Get(uint64_t key, GetDoneFn done) {
-  const auto replicas = Replicas(key);
+void HedgedStrategy::Get(uint64_t key, const GetContext&, GetDoneFn done) {
+  const tenant::ReplicaGroup replicas = RouteReplicas(key, tenant::kNoTenant);
   auto settled = std::make_shared<bool>(false);
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
   auto tries = std::make_shared<int>(1);
 
-  auto on_reply = [settled, shared_done, tries](Status status) {
+  auto on_reply = [settled, shared_done, tries](Status status, DurationNs) {
     if (*settled) {
       return;  // The slower of the two; the first response wins.
     }
@@ -23,12 +23,12 @@ void HedgedStrategy::Get(uint64_t key, GetDoneFn done) {
   };
 
   const obs::TraceContext trace = BeginTrace();
-  SendGet(replicas[0], key, sched::kNoDeadline, on_reply, trace);
+  SendGet(replicas.node[0], key, sched::kNoDeadline, on_reply, trace);
 
   // Hedge timer: after the p95 delay, duplicate to the next replica. The
   // first request stays outstanding (no cancellation).
   sim_->Schedule(options_.hedge_delay,
-                 [this, key, second = replicas[1], settled, tries, on_reply, trace] {
+                 [this, key, second = replicas.node[1], settled, tries, on_reply, trace] {
                    if (*settled) {
                      return;
                    }

@@ -21,7 +21,7 @@ class HedgedStrategy : public GetStrategy {
                  const Options& options);
 
   std::string_view name() const override { return "Hedged"; }
-  void Get(uint64_t key, GetDoneFn done) override;
+  void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
 
   uint64_t hedges_sent() const { return hedges_sent_; }
 

@@ -8,10 +8,6 @@ MittosStrategy::MittosStrategy(sim::Simulator* sim, cluster::Cluster* cluster, u
                                const Options& options)
     : GetStrategy(sim, cluster, seed), options_(options) {}
 
-void MittosStrategy::Get(uint64_t key, GetDoneFn done) {
-  Attempt(key, GetContext{}, 0, std::make_shared<GetDoneFn>(std::move(done)), BeginTrace());
-}
-
 void MittosStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
   Attempt(key, ctx, 0, std::make_shared<GetDoneFn>(std::move(done)), BeginTrace());
 }
@@ -30,7 +26,7 @@ void MittosStrategy::Attempt(uint64_t key, GetContext ctx, int try_index,
   const int node = replicas.node[static_cast<size_t>(try_index)];
   SendGet(
       node, key, deadline,
-      [this, key, ctx, try_index, done, trace](Status status) {
+      [this, key, ctx, try_index, done, trace](Status status, DurationNs) {
         if (status.busy()) {
           ++ebusy_failovers_;
           RecordFailover(trace);
@@ -56,10 +52,6 @@ struct MittosWaitStrategy::Attempt {
 MittosWaitStrategy::MittosWaitStrategy(sim::Simulator* sim, cluster::Cluster* cluster,
                                        uint64_t seed, const Options& options)
     : GetStrategy(sim, cluster, seed), options_(options) {}
-
-void MittosWaitStrategy::Get(uint64_t key, GetDoneFn done) {
-  Get(key, GetContext{}, std::move(done));
-}
 
 void MittosWaitStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
   auto attempt = std::make_shared<Attempt>();
@@ -89,13 +81,13 @@ void MittosWaitStrategy::TryReplica(std::shared_ptr<Attempt> attempt) {
     const int tries = static_cast<int>(attempt->replicas.size()) + 1;
     SendGet(
         node, attempt->key, sched::kNoDeadline,
-        [attempt, tries](Status status) { attempt->done({status, tries}); }, attempt->trace,
-        attempt->tenant);
+        [attempt, tries](Status status, DurationNs) { attempt->done({status, tries}); },
+        attempt->trace, attempt->tenant);
     return;
   }
   const size_t index = attempt->next++;
   const int node = attempt->replicas[index];
-  SendGetWithHint(
+  SendGet(
       node, attempt->key, attempt->deadline,
       [this, attempt, index](Status status, DurationNs hint) {
         if (status.busy()) {

@@ -22,7 +22,6 @@ class MittosStrategy : public GetStrategy {
                  const Options& options);
 
   std::string_view name() const override { return options_.name; }
-  void Get(uint64_t key, GetDoneFn done) override;
   // Tenant-aware: routes via the placement map, sends the tenant's class SLO
   // (ctx.deadline) as the wire deadline.
   void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
@@ -56,7 +55,6 @@ class MittosWaitStrategy : public GetStrategy {
                      const Options& options);
 
   std::string_view name() const override { return "MittOS+wait"; }
-  void Get(uint64_t key, GetDoneFn done) override;
   void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
 
   uint64_t ebusy_failovers() const { return ebusy_failovers_; }

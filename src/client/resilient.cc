@@ -71,10 +71,11 @@ DurationNs ResilientMittosStrategy::NoteSentDeadline(DurationNs deadline) {
   return deadline;
 }
 
-void ResilientMittosStrategy::Get(uint64_t key, GetDoneFn done) {
+void ResilientMittosStrategy::Get(uint64_t key, const GetContext&, GetDoneFn done) {
   auto g = std::make_shared<GetState>();
   g->key = key;
-  g->replicas = Replicas(key);
+  const tenant::ReplicaGroup group = RouteReplicas(key, tenant::kNoTenant);
+  g->replicas.assign(group.node, group.node + group.size);
   health_.OrderReplicas(&g->replicas);
   g->hints.assign(g->replicas.size(), kNoHint);
   g->budget = resilience::DeadlineBudget(options_.deadline, sim_->Now());
@@ -185,7 +186,7 @@ void ResilientMittosStrategy::TryNext(std::shared_ptr<GetState> g) {
     }
   });
 
-  SendGetWithHint(
+  SendGet(
       node, g->key, remaining,
       [this, g, attempt](Status status, DurationNs hint) {
         // Health sees every reply, even stale ones — a late answer is still

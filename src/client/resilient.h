@@ -76,7 +76,7 @@ class ResilientMittosStrategy : public GetStrategy {
                           const Options& options);
 
   std::string_view name() const override { return options_.name; }
-  void Get(uint64_t key, GetDoneFn done) override;
+  void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) override;
 
   // --- Counters (harness harvest) ---
   uint64_t ebusy_failovers() const { return ebusy_failovers_; }

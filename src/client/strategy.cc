@@ -1,5 +1,7 @@
 #include "src/client/strategy.h"
 
+#include <vector>
+
 #include "src/resilience/deadline_budget.h"
 
 namespace mitt::client {
@@ -7,66 +9,48 @@ namespace mitt::client {
 GetStrategy::GetStrategy(sim::Simulator* sim, cluster::Cluster* cluster, uint64_t seed)
     : sim_(sim), cluster_(cluster), rng_(seed) {}
 
-void GetStrategy::SendGet(int node, uint64_t key, DurationNs deadline,
-                          std::function<void(Status)> on_reply, obs::TraceContext trace,
-                          tenant::TenantId tenant) {
-  SendGetWithHint(
-      node, key, deadline,
-      [on_reply = std::move(on_reply)](Status s, DurationNs) { on_reply(s); }, trace, tenant);
+namespace {
+
+// The reply hop: carries the server's answer back over the network to the
+// client's home shard, so the continuation fires on the simulator that
+// issued the request. Tagged with the storage-node endpoint so per-link
+// faults (src/fault/) hit replies from that node.
+kv::DocStoreNode::RichReplyFn ReplyHop(cluster::Cluster* cluster, int node, int home,
+                                       kv::DocStoreNode::RichReplyFn on_reply) {
+  return [cluster, node, home, on_reply = std::move(on_reply)](Status status,
+                                                                DurationNs hint) mutable {
+    cluster->network().Deliver(node, home, [on_reply = std::move(on_reply), status, hint] {
+      on_reply(status, hint);
+    });
+  };
 }
 
-void GetStrategy::SendGetWithHint(int node, uint64_t key, DurationNs deadline,
-                                  std::function<void(Status, DurationNs)> on_reply,
-                                  obs::TraceContext trace, tenant::TenantId tenant) {
+}  // namespace
+
+void GetStrategy::SendGet(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
+                          obs::TraceContext trace, tenant::TenantId tenant) {
   // Underflow guard at the send boundary: a caller whose remaining-deadline
   // arithmetic went negative must read as "no time left" (0), never alias
   // into kNoDeadline (-1) and disable the SLO.
   deadline = resilience::ClampDeadline(deadline);
   cluster::Network& net = cluster_->network();
-  cluster::Cluster* cluster = cluster_;
-  // Both hops are tagged with the storage-node endpoint so per-link faults
-  // (src/fault/) hit requests to / replies from that node. The request hop
-  // runs on the node's shard; the reply hop routes back to this client's
-  // home shard so the continuation fires on the simulator that issued it.
-  const int home = sim_->shard_id();
+  // The request hop runs on the node's shard, tagged with the node endpoint.
   net.Deliver(node, net.ShardOfNode(node),
-              [cluster, node, home, key, deadline, trace, tenant,
-               on_reply = std::move(on_reply)]() mutable {
-                cluster->node(node).HandleGetWithHint(
-                    key, deadline,
-                    [cluster, node, home, on_reply = std::move(on_reply)](
-                        Status status, DurationNs hint) mutable {
-                      cluster->network().Deliver(
-                          node, home,
-                          [on_reply = std::move(on_reply), status, hint] {
-                            on_reply(status, hint);
-                          });
-                    },
-                    trace, tenant);
+              [cluster = cluster_, node, key, deadline, trace, tenant,
+               reply = ReplyHop(cluster_, node, sim_->shard_id(), std::move(on_reply))]() mutable {
+                cluster->node(node).HandleGetWithHint(key, deadline, std::move(reply), trace,
+                                                      tenant);
               });
 }
 
-void GetStrategy::SendDegradedGet(int node, uint64_t key, DurationNs deadline,
-                                  std::function<void(Status, DurationNs)> on_reply,
+void GetStrategy::SendDegradedGet(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
                                   obs::TraceContext trace) {
   deadline = resilience::ClampDeadline(deadline);
   cluster::Network& net = cluster_->network();
-  cluster::Cluster* cluster = cluster_;
-  const int home = sim_->shard_id();
   net.Deliver(node, net.ShardOfNode(node),
-              [cluster, node, home, key, deadline, trace,
-               on_reply = std::move(on_reply)]() mutable {
-                cluster->node(node).HandleDegradedGet(
-                    key, deadline,
-                    [cluster, node, home, on_reply = std::move(on_reply)](
-                        Status status, DurationNs hint) mutable {
-                      cluster->network().Deliver(
-                          node, home,
-                          [on_reply = std::move(on_reply), status, hint] {
-                            on_reply(status, hint);
-                          });
-                    },
-                    trace);
+              [cluster = cluster_, node, key, deadline, trace,
+               reply = ReplyHop(cluster_, node, sim_->shard_id(), std::move(on_reply))]() mutable {
+                cluster->node(node).HandleDegradedGet(key, deadline, std::move(reply), trace);
               });
 }
 

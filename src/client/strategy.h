@@ -11,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/common/rng.h"
@@ -50,19 +49,14 @@ class GetStrategy {
 
   virtual std::string_view name() const = 0;
 
-  // Issues one replicated get for `key`; calls `done` exactly once.
-  virtual void Get(uint64_t key, GetDoneFn done) = 0;
-
-  // Tenant-aware issue. Strategies that understand placement routing and
-  // per-class deadlines override this; the default drops the context and
-  // behaves like the single-tenant Get. Clone, Hedged, Snitch, C3 and
-  // MittOS+res (ResilientMittosStrategy) do not override it yet, so under
-  // tenant drivers they neither route by placement nor carry the tenant or
-  // its class SLO (ROADMAP open item).
-  virtual void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
-    (void)ctx;
-    Get(key, std::move(done));
-  }
+  // Issues one replicated get for `key`; calls `done` exactly once. `ctx`
+  // carries the tenant (placement routing, server-side accounting) and its
+  // class SLO as a per-request deadline; `{}` is a plain single-tenant get.
+  // Base/AppTO, MittOS and MittOS+wait honour it. Clone, Hedged, Snitch, C3
+  // and MittOS+res (ResilientMittosStrategy) ignore it: they route by the
+  // key's ring replicas and send neither tenant nor class SLO (ROADMAP open
+  // item).
+  virtual void Get(uint64_t key, const GetContext& ctx, GetDoneFn done) = 0;
 
   // Attaches the tenant->replica placement map consulted by RouteReplicas.
   // The map is owned by the harness; the placement controller mutates it
@@ -70,23 +64,21 @@ class GetStrategy {
   void set_placement(const tenant::PlacementMap* placement) { placement_ = placement; }
 
  protected:
+  // Server reply: the status, and on EBUSY the OS' predicted wait (§7.8.1's
+  // interface extension; 0 otherwise). Callers that do not use the hint
+  // ignore it.
+  using ReplyFn = std::function<void(Status, DurationNs hint)>;
+
   // One request/reply round trip to `node`. `trace` ties the server-side
   // spans back to this client request (src/obs/; default: untraced);
   // `tenant` rides along so the server's per-tenant accounting sees it.
-  void SendGet(int node, uint64_t key, DurationNs deadline, std::function<void(Status)> on_reply,
+  void SendGet(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
                obs::TraceContext trace = {}, tenant::TenantId tenant = tenant::kNoTenant);
-
-  // Round trip whose EBUSY reply carries the server's predicted wait
-  // (§7.8.1's interface extension).
-  void SendGetWithHint(int node, uint64_t key, DurationNs deadline,
-                       std::function<void(Status, DurationNs)> on_reply,
-                       obs::TraceContext trace = {}, tenant::TenantId tenant = tenant::kNoTenant);
 
   // Round trip into the server's *degraded* read path (src/resilience/):
   // bounded admission behind a load-shed gate, bounded escalating deadlines.
   // Replies kUnavailable (+ wait hint) when the gate sheds.
-  void SendDegradedGet(int node, uint64_t key, DurationNs deadline,
-                       std::function<void(Status, DurationNs)> on_reply,
+  void SendDegradedGet(int node, uint64_t key, DurationNs deadline, ReplyFn on_reply,
                        obs::TraceContext trace = {});
 
   // Starts a trace for one logical get(): a fresh deterministic request id
@@ -96,8 +88,6 @@ class GetStrategy {
   // Records the client-side failover hop (retrying another replica after an
   // EBUSY or a timeout) as an instant span.
   void RecordFailover(const obs::TraceContext& trace);
-
-  std::vector<int> Replicas(uint64_t key) const { return cluster_->ReplicasOf(key); }
 
   // Tenant-aware replica set: the tenant's placement group when a map is
   // attached and the tenant is known (a dense-array copy, no allocation —

@@ -8,10 +8,6 @@ TimeoutStrategy::TimeoutStrategy(sim::Simulator* sim, cluster::Cluster* cluster,
                                  const Options& options)
     : GetStrategy(sim, cluster, seed), options_(options) {}
 
-void TimeoutStrategy::Get(uint64_t key, GetDoneFn done) {
-  Attempt(key, GetContext{}, 0, std::make_shared<GetDoneFn>(std::move(done)), BeginTrace());
-}
-
 void TimeoutStrategy::Get(uint64_t key, const GetContext& ctx, GetDoneFn done) {
   Attempt(key, ctx, 0, std::make_shared<GetDoneFn>(std::move(done)), BeginTrace());
 }
@@ -47,7 +43,7 @@ void TimeoutStrategy::Attempt(uint64_t key, GetContext ctx, int try_index,
 
   SendGet(
       node, key, sched::kNoDeadline,
-      [this, timer, settled, done, try_index](Status status) {
+      [this, timer, settled, done, try_index](Status status, DurationNs) {
         if (*settled) {
           return;  // Timed out earlier; this reply is stale (app-level cancel).
         }

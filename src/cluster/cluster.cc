@@ -6,38 +6,32 @@
 
 namespace mitt::cluster {
 
-Cluster::Cluster(sim::Simulator* sim, const Options& options) : options_(options) {
-  network_ = std::make_unique<Network>(sim, options_.network, options_.seed ^ 0xBEEF);
-  if (options_.shared_cpu_cores > 0) {
-    shared_cpu_ = std::make_unique<CpuPool>(sim, options_.shared_cpu_cores);
-  }
-  nodes_.reserve(static_cast<size_t>(options_.num_nodes));
-  for (int i = 0; i < options_.num_nodes; ++i) {
-    nodes_.push_back(std::make_unique<kv::DocStoreNode>(sim, i, options_.node,
-                                                        shared_cpu_.get()));
-  }
-}
+Cluster::Cluster(sim::Simulator* sim, const Options& options) : Cluster(options, sim, nullptr) {}
 
-Cluster::Cluster(sim::ShardedEngine* engine, const Options& options) : options_(options) {
-  const int num_shards = engine->num_shards();
-  assert((options_.shared_cpu_cores == 0 || num_shards == 1) &&
-         "shared CPU pool is cross-shard state");
-  network_ = std::make_unique<Network>(engine->shard(0), options_.network,
-                                       options_.seed ^ 0xBEEF);
+Cluster::Cluster(sim::ShardedEngine* engine, const Options& options)
+    : Cluster(options, engine->shard(0), engine) {}
+
+Cluster::Cluster(const Options& options, sim::Simulator* home, sim::ShardedEngine* engine)
+    : options_(options) {
+  network_ = std::make_unique<Network>(home, options_.network, options_.seed ^ 0xBEEF);
   if (options_.shared_cpu_cores > 0) {
-    shared_cpu_ = std::make_unique<CpuPool>(engine->shard(0), options_.shared_cpu_cores);
+    shared_cpu_ = std::make_unique<CpuPool>(home, options_.shared_cpu_cores);
   }
-  std::vector<int> node_shard(static_cast<size_t>(options_.num_nodes));
-  for (int i = 0; i < options_.num_nodes; ++i) {
-    node_shard[static_cast<size_t>(i)] =
-        static_cast<int>(static_cast<int64_t>(i) * num_shards / options_.num_nodes);
+  if (engine != nullptr) {
+    const int num_shards = engine->num_shards();
+    assert((options_.shared_cpu_cores == 0 || num_shards == 1) &&
+           "shared CPU pool is cross-shard state");
+    std::vector<int> node_shard(static_cast<size_t>(options_.num_nodes));
+    for (int i = 0; i < options_.num_nodes; ++i) {
+      node_shard[static_cast<size_t>(i)] =
+          static_cast<int>(static_cast<int64_t>(i) * num_shards / options_.num_nodes);
+    }
+    network_->AttachShards(engine, std::move(node_shard));
   }
-  network_->AttachShards(engine, node_shard);
   nodes_.reserve(static_cast<size_t>(options_.num_nodes));
   for (int i = 0; i < options_.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<kv::DocStoreNode>(
-        engine->shard(node_shard[static_cast<size_t>(i)]), i, options_.node,
-        shared_cpu_.get()));
+        network_->shard_sim(shard_of_node(i)), i, options_.node, shared_cpu_.get()));
   }
 }
 

@@ -52,6 +52,10 @@ class Cluster {
   void WarmAll(double fraction);
 
  private:
+  // Both public constructors: network and shared CPU on `home`, nodes on
+  // their shards' simulators (all on `home` when `engine` is null).
+  Cluster(const Options& options, sim::Simulator* home, sim::ShardedEngine* engine);
+
   Options options_;
   std::unique_ptr<Network> network_;
   std::unique_ptr<CpuPool> shared_cpu_;

@@ -14,7 +14,7 @@ constexpr uint64_t kLaneSeedStride = 0x9E3779B97F4A7C15ULL;
 }  // namespace
 
 Network::Network(sim::Simulator* sim, const NetworkParams& params, uint64_t seed)
-    : sim_(sim), params_(params) {
+    : shard_sims_{sim}, params_(params) {
   lanes_.resize(1);
   lanes_[0].rng = Rng(seed);
   seed_ = seed;
@@ -26,8 +26,12 @@ void Network::AttachShards(sim::ShardedEngine* engine, std::vector<int> node_sha
   engine_ = engine;
   node_shard_ = std::move(node_shard);
   lanes_.resize(static_cast<size_t>(engine->num_shards()));
-  for (size_t s = 1; s < lanes_.size(); ++s) {
-    lanes_[s].rng = Rng(seed_ + kLaneSeedStride * static_cast<uint64_t>(s));
+  shard_sims_.resize(lanes_.size());
+  for (size_t s = 0; s < lanes_.size(); ++s) {
+    shard_sims_[s] = engine->shard(static_cast<int>(s));
+    if (s > 0) {
+      lanes_[s].rng = Rng(seed_ + kLaneSeedStride * static_cast<uint64_t>(s));
+    }
   }
 }
 
@@ -58,11 +62,7 @@ void Network::DeliverHop(int src, int peer, int dst_shard, DeliverFn fn) {
     ++lane.dropped;
   }
   ++lane.delivered;
-  if (engine_ == nullptr) {
-    sim_->Schedule(hop, std::move(fn));
-    return;
-  }
-  sim::Simulator* src_sim = engine_->shard(src);
+  sim::Simulator* src_sim = shard_sims_[static_cast<size_t>(src)];
   if (dst_shard == src) {
     // Shard-local: the legacy fast path, no mailbox traffic.
     src_sim->Schedule(hop, std::move(fn));
@@ -70,17 +70,19 @@ void Network::DeliverHop(int src, int peer, int dst_shard, DeliverFn fn) {
   }
   // hop >= one_way - jitter == the engine lookahead, so the arrival time
   // clears the open window's horizon (Post clamps defensively regardless).
+  assert(engine_ != nullptr && "cross-shard hop on an unsharded network");
   ++lane.cross_hops;
   engine_->Post(dst_shard, src_sim->Now() + hop, std::move(fn));
 }
 
-void Network::Deliver(int peer, DeliverFn fn) {
-  const int src = engine_ != nullptr ? engine_->CurrentShardId() : 0;
-  Deliver(peer, src, std::move(fn));
+int Network::CurrentShard() const {
+  return engine_ != nullptr ? engine_->CurrentShardId() : 0;
 }
 
+void Network::Deliver(int peer, DeliverFn fn) { Deliver(peer, CurrentShard(), std::move(fn)); }
+
 void Network::Deliver(int peer, int dst_shard, DeliverFn fn) {
-  const int src = engine_ != nullptr ? engine_->CurrentShardId() : 0;
+  const int src = CurrentShard();
   if (peer != kNoPeer) {
     if (const auto it = link_faults_.find(peer);
         it != link_faults_.end() && it->second.partitioned) {

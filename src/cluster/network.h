@@ -76,6 +76,10 @@ class Network {
   // RNG stream; lane s>0 gets an independent stream derived from the seed.
   void AttachShards(sim::ShardedEngine* engine, std::vector<int> node_shard);
 
+  // Simulator of shard `s`; shard 0 is the standalone simulator when
+  // unsharded.
+  sim::Simulator* shard_sim(int s) const { return shard_sims_[static_cast<size_t>(s)]; }
+
   // Shard owning `node`; 0 when unsharded. kNoPeer maps to shard 0.
   int ShardOfNode(int node) const {
     return node >= 0 && node < static_cast<int>(node_shard_.size())
@@ -144,10 +148,12 @@ class Network {
 
   DurationNs SampleHop(Lane& lane, int peer);
   // Samples a hop from `src`'s lane and routes: local schedule when
-  // dst_shard == src (or unsharded), engine mailbox post otherwise.
+  // dst_shard == src (always, unsharded), engine mailbox post otherwise.
   void DeliverHop(int src, int peer, int dst_shard, DeliverFn fn);
+  // The shard whose thread is running (0 unsharded).
+  int CurrentShard() const;
 
-  sim::Simulator* sim_;
+  std::vector<sim::Simulator*> shard_sims_;  // Per shard; [0] exists even unsharded.
   sim::ShardedEngine* engine_ = nullptr;
   NetworkParams params_;
   uint64_t seed_ = 0;

@@ -887,7 +887,7 @@ RunResult Experiment::Run(StrategyKind kind) {
                               trace::kOpRead, static_cast<uint32_t>(client_idx));
         }
         OracleHarvest* oracle = options_.harvest_oracles ? &ctx.oracle : nullptr;
-        ctx.strategy->Get(key, WrapOracleDone(oracle,
+        ctx.strategy->Get(key, {}, WrapOracleDone(oracle,
                                [&ctx, sim, issue, client_idx, start, get_start, measured,
                                 remaining](const client::GetResult& get_result) {
           if (measured) {

@@ -1,16 +1,23 @@
 #include "src/kv/doc_store_node.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "src/obs/metrics.h"
-#include "src/resilience/deadline_budget.h"
 
 namespace mitt::kv {
 
 DocStoreNode::DocStoreNode(sim::Simulator* sim, int node_id, const Options& options,
                            cluster::CpuPool* shared_cpu)
-    : sim_(sim), node_id_(node_id), options_(options), degraded_gate_(options.admission) {
+    : sim_(sim),
+      node_id_(node_id),
+      options_(options),
+      degraded_(
+          sim, node_id, options.degraded,
+          [this](uint64_t key, DurationNs deadline, obs::TraceContext trace,
+                 resilience::DegradedReadLoop::ReplyFn done) {
+            os_->ReadWithWaitHint(ReadArgsOf(key, deadline, trace), std::move(done));
+          },
+          [this](InlineFunction<void()> fn) {
+            cpu_->Execute(options_.handler_cpu / 2, std::move(fn));
+          }) {
   os::OsOptions os_options = options_.os;
   os_options.seed ^= static_cast<uint64_t>(node_id) * 0x1000'0001ULL;
   os_options.node_label = node_id;
@@ -102,56 +109,12 @@ void DocStoreNode::DoRead(uint64_t key, DurationNs deadline, RichReplyFn reply,
     return;
   }
 
-  os::Os::ReadArgs args;
-  args.file = data_file_;
-  args.offset = offset;
-  args.size = options_.doc_size;
-  args.deadline = deadline;
-  args.pid = options_.server_pid;
-  args.trace = trace;
-  os_->ReadWithWaitHint(args, [finish](Status s, DurationNs hint) { finish(s, hint); });
+  os_->ReadWithWaitHint(ReadArgsOf(key, deadline, trace),
+                        [finish](Status s, DurationNs hint) { finish(s, hint); });
 }
 
-void DocStoreNode::HandleDegradedGet(uint64_t key, DurationNs deadline, RichReplyFn reply,
-                                     obs::TraceContext trace) {
-  ++gets_served_;
-  const obs::TraceContext server_trace{trace.id, node_id_};
-  if (!degraded_gate_.TryAdmit()) {
-    // Shed: the degraded path is already at capacity. Reply as fast as an
-    // EBUSY reject, with the device floor as the wait hint, so the client
-    // walks on instead of queueing invisibly behind the convoy.
-    if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled()) {
-      tr->RecordInstant(obs::SpanKind::kShed, server_trace, sim_->Now());
-    }
-    if (obs::MetricsRegistry* m = sim_->metrics()) {
-      m->counter("resilience_shed_total", node_id_).Add();
-    }
-    const DurationNs hint = os_->MinDeviceLatency();
-    cpu_->Execute(options_.handler_cpu / 2,
-                  [reply = std::move(reply), hint] { reply(Status::Unavailable(), hint); });
-    return;
-  }
-  if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled()) {
-    tr->RecordInstant(obs::SpanKind::kDegradedGet, server_trace, sim_->Now());
-  }
-  if (obs::MetricsRegistry* m = sim_->metrics()) {
-    m->counter("resilience_degraded_admit_total", node_id_).Add();
-  }
-  // Bounded-deadline discipline: negative values clamp to 0 (kNoDeadline must
-  // not sneak through the degraded path), and nothing exceeds the cap.
-  DurationNs first = resilience::ClampDeadline(deadline);
-  if (first < 0 || first > options_.degraded_deadline_cap) {
-    first = options_.degraded_deadline_cap;
-  }
-  cpu_->Execute(options_.handler_cpu / 2,
-                [this, key, first, trace, reply = std::move(reply)]() mutable {
-                  DegradedAttempt(key, first, 0, std::move(reply), trace);
-                });
-}
-
-void DocStoreNode::DegradedAttempt(uint64_t key, DurationNs deadline, int attempt,
-                                   RichReplyFn reply, obs::TraceContext trace) {
-  degraded_max_deadline_ = std::max(degraded_max_deadline_, deadline);
+os::Os::ReadArgs DocStoreNode::ReadArgsOf(uint64_t key, DurationNs deadline,
+                                          obs::TraceContext trace) const {
   os::Os::ReadArgs args;
   args.file = data_file_;
   args.offset = OffsetOfKey(key);
@@ -159,30 +122,13 @@ void DocStoreNode::DegradedAttempt(uint64_t key, DurationNs deadline, int attemp
   args.deadline = deadline;
   args.pid = options_.server_pid;
   args.trace = trace;
-  os_->ReadWithWaitHint(
-      args, [this, key, deadline, attempt, trace, reply = std::move(reply)](
-                Status s, DurationNs hint) mutable {
-        if (!s.busy() || attempt + 1 >= options_.degraded_max_attempts) {
-          // Done (success, or attempts exhausted — surface the last status;
-          // with the escalation below the deadline reaches the cap long
-          // before the attempt limit, so exhaustion means a real outage).
-          degraded_gate_.Release();
-          cpu_->Execute(options_.handler_cpu / 2,
-                        [reply = std::move(reply), s, hint] { reply(s, hint); });
-          return;
-        }
-        // EBUSY: the predictor says the queue needs ~hint to drain. Wait it
-        // out (the admission slot stays held — that is the "queue server-side
-        // behind the gate" part), then re-issue with an escalated, still
-        // bounded deadline.
-        DurationNs next = std::max(deadline * 2, hint + deadline);
-        next = std::min(next, options_.degraded_deadline_cap);
-        const DurationNs wait = std::max<DurationNs>(hint, Micros(50));
-        sim_->Schedule(wait, [this, key, next, attempt, trace,
-                              reply = std::move(reply)]() mutable {
-          DegradedAttempt(key, next, attempt + 1, std::move(reply), trace);
-        });
-      });
+  return args;
+}
+
+void DocStoreNode::HandleDegradedGet(uint64_t key, DurationNs deadline, RichReplyFn reply,
+                                     obs::TraceContext trace) {
+  ++gets_served_;
+  degraded_.Serve(key, deadline, trace, os_->MinDeviceLatency(), std::move(reply));
 }
 
 void DocStoreNode::HandlePut(uint64_t key, std::function<void(Status)> reply) {

@@ -27,7 +27,7 @@
 #include "src/common/status.h"
 #include "src/obs/trace.h"
 #include "src/os/os.h"
-#include "src/resilience/admission_gate.h"
+#include "src/resilience/degraded_read.h"
 #include "src/sim/simulator.h"
 
 namespace mitt::kv {
@@ -54,9 +54,7 @@ class DocStoreNode {
     // Degraded (all-replicas-busy) read path (src/resilience/): bounded
     // admission behind a load-shed gate, bounded escalating deadlines —
     // the replacement for the paper's deadline-disabled last try.
-    resilience::AdmissionGateOptions admission;
-    int degraded_max_attempts = 10;
-    DurationNs degraded_deadline_cap = Seconds(2);
+    resilience::DegradedReadOptions degraded;
 
     // Per-tenant accounting (src/tenant/): >0 sizes dense gets/EBUSY counter
     // arrays indexed by tenant id — two array increments on the get path,
@@ -89,11 +87,10 @@ class DocStoreNode {
   void HandleGetWithHint(uint64_t key, DurationNs deadline, RichReplyFn reply,
                          obs::TraceContext trace = {}, uint32_t tenant = kNoTenant);
 
-  // Degraded read (all replicas rejected): admission is bounded by the shed
-  // gate — over capacity replies kUnavailable (+ wait hint) immediately.
-  // Admitted reads loop on EBUSY, waiting out the predicted wait and
-  // escalating the deadline (capped at degraded_deadline_cap, never
-  // disabled), so completion is guaranteed without unbounded queueing.
+  // Degraded read (all replicas rejected) through resilience::
+  // DegradedReadLoop: shed with kUnavailable (+ the device floor as wait
+  // hint) over capacity; admitted reads escalate bounded deadlines until
+  // the read completes.
   void HandleDegradedGet(uint64_t key, DurationNs deadline, RichReplyFn reply,
                          obs::TraceContext trace = {});
 
@@ -131,10 +128,7 @@ class DocStoreNode {
   const uint64_t* tenant_gets_data() const { return tenant_gets_.data(); }
   const uint64_t* tenant_ebusy_data() const { return tenant_ebusy_.data(); }
   uint32_t tenant_slots() const { return static_cast<uint32_t>(tenant_gets_.size()); }
-  uint64_t degraded_admits() const { return degraded_gate_.admits(); }
-  uint64_t degraded_sheds() const { return degraded_gate_.sheds(); }
-  // Largest deadline the degraded path ever issued — the boundedness proof.
-  DurationNs degraded_max_deadline() const { return degraded_max_deadline_; }
+  const resilience::DegradedReadLoop& degraded() const { return degraded_; }
 
  private:
   int64_t OffsetOfKey(uint64_t key) const {
@@ -144,8 +138,7 @@ class DocStoreNode {
 
   void DoRead(uint64_t key, DurationNs deadline, RichReplyFn reply, obs::TraceContext trace,
               uint32_t tenant);
-  void DegradedAttempt(uint64_t key, DurationNs deadline, int attempt, RichReplyFn reply,
-                       obs::TraceContext trace);
+  os::Os::ReadArgs ReadArgsOf(uint64_t key, DurationNs deadline, obs::TraceContext trace) const;
 
   sim::Simulator* sim_;
   int node_id_;
@@ -159,8 +152,7 @@ class DocStoreNode {
   std::vector<uint64_t> tenant_gets_;
   std::vector<uint64_t> tenant_ebusy_;
   uint64_t crashes_ = 0;
-  resilience::AdmissionGate degraded_gate_;
-  DurationNs degraded_max_deadline_ = 0;
+  resilience::DegradedReadLoop degraded_;
 };
 
 }  // namespace mitt::kv

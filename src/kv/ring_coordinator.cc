@@ -36,12 +36,12 @@ struct RingCoordinator::GetState {
   std::vector<int> replicas;
   size_t next = 0;
   resilience::DeadlineBudget budget{0, 0};
-  std::shared_ptr<std::function<void(Status)>> done;
+  std::shared_ptr<ReplyFn> done;
   Status last_status = Status::Unavailable();
 };
 
 void RingCoordinator::Get(uint64_t key, std::function<void(Status)> done) {
-  auto shared_done = std::make_shared<std::function<void(Status)>>(std::move(done));
+  auto shared_done = std::make_shared<ReplyFn>(std::move(done));
   if (!options_.resilience_enabled) {
     Attempt(key, 0, std::move(shared_done));
     return;
@@ -58,7 +58,7 @@ void RingCoordinator::Get(uint64_t key, std::function<void(Status)> done) {
 }
 
 void RingCoordinator::Attempt(uint64_t key, int try_index,
-                              std::shared_ptr<std::function<void(Status)>> done) {
+                              std::shared_ptr<ReplyFn> done) {
   const auto replicas = ReplicasOf(key);
   const bool last_try = try_index + 1 >= static_cast<int>(replicas.size());
   const DurationNs deadline =
@@ -67,13 +67,10 @@ void RingCoordinator::Attempt(uint64_t key, int try_index,
     ++unbounded_tries_;
   }
   lsm::LsmNode* node = nodes_[static_cast<size_t>(replicas[static_cast<size_t>(try_index)])];
-  // Request hop onto the replica's shard, reply hop back to the
-  // coordinator's home shard (where `done` and the failover walk live).
-  network_->Deliver(cluster::Network::kNoPeer, NodeShard(node),
-                    [this, node, key, deadline, try_index, done] {
-    node->HandleGet(key, deadline, [this, key, try_index, done](Status status) {
-      network_->Deliver(cluster::Network::kNoPeer, home_shard_,
-                        [this, key, try_index, done, status] {
+  RoundTrip(
+      node,
+      [node, key, deadline](ReplyFn reply) { node->HandleGet(key, deadline, std::move(reply)); },
+      [this, key, try_index, done](Status status) {
         if (status.busy()) {
           ++failovers_;
           Attempt(key, try_index + 1, done);
@@ -81,8 +78,6 @@ void RingCoordinator::Attempt(uint64_t key, int try_index,
         }
         (*done)(status);
       });
-    });
-  });
 }
 
 void RingCoordinator::ResilientAttempt(std::shared_ptr<GetState> g) {
@@ -101,11 +96,12 @@ void RingCoordinator::ResilientAttempt(std::shared_ptr<GetState> g) {
     max_sent_deadline_ = std::max(max_sent_deadline_, remaining);
   }
   const TimeNs sent_at = sim_->Now();
-  network_->Deliver(cluster::Network::kNoPeer, NodeShard(node),
-                    [this, node, g, remaining, replica, sent_at] {
-    node->HandleGet(g->key, remaining, [this, g, replica, sent_at](Status status) {
-      network_->Deliver(cluster::Network::kNoPeer, home_shard_,
-                        [this, g, replica, sent_at, status] {
+  RoundTrip(
+      node,
+      [node, key = g->key, remaining](ReplyFn reply) {
+        node->HandleGet(key, remaining, std::move(reply));
+      },
+      [this, g, replica, sent_at](Status status) {
         health_->OnReply(replica, sim_->Now() - sent_at, status.busy());
         if (status.busy()) {
           ++failovers_;
@@ -114,8 +110,6 @@ void RingCoordinator::ResilientAttempt(std::shared_ptr<GetState> g) {
         }
         (*g->done)(status);
       });
-    });
-  });
 }
 
 void RingCoordinator::DegradedAttempt(std::shared_ptr<GetState> g, int round) {
@@ -142,11 +136,12 @@ void RingCoordinator::DegradedAttempt(std::shared_ptr<GetState> g, int round) {
     const DurationNs deadline =
         std::max(resilience::ClampDeadline(g->budget.Remaining(sim_->Now())), options_.deadline);
     max_sent_deadline_ = std::max(max_sent_deadline_, deadline);
-    network_->Deliver(cluster::Network::kNoPeer, NodeShard(node),
-                      [this, node, g, deadline, step] {
-      node->HandleDegradedGet(g->key, deadline, [this, g, step](Status status) {
-        network_->Deliver(cluster::Network::kNoPeer, home_shard_,
-                          [this, g, step, status] {
+    RoundTrip(
+        node,
+        [node, key = g->key, deadline](ReplyFn reply) {
+          node->HandleDegradedGet(key, deadline, std::move(reply));
+        },
+        [this, g, step](Status status) {
           g->last_status = status;
           if (status.code() == StatusCode::kUnavailable) {
             ++degraded_sheds_seen_;
@@ -156,8 +151,6 @@ void RingCoordinator::DegradedAttempt(std::shared_ptr<GetState> g, int round) {
           (*g->done)(status);
           *step = nullptr;
         });
-      });
-    });
   };
   (*step)();
 }
@@ -165,22 +158,30 @@ void RingCoordinator::DegradedAttempt(std::shared_ptr<GetState> g, int round) {
 void RingCoordinator::Put(uint64_t key, std::function<void(Status)> done) {
   const auto replicas = ReplicasOf(key);
   auto first = std::make_shared<bool>(true);
-  auto shared_done = std::make_shared<std::function<void(Status)>>(std::move(done));
+  auto shared_done = std::make_shared<ReplyFn>(std::move(done));
   for (const int r : replicas) {
     lsm::LsmNode* node = nodes_[static_cast<size_t>(r)];
-    network_->Deliver(cluster::Network::kNoPeer, NodeShard(node),
-                      [this, node, key, first, shared_done] {
-      node->HandlePut(key, [this, first, shared_done](Status s) {
-        network_->Deliver(cluster::Network::kNoPeer, home_shard_,
-                          [first, shared_done, s] {
+    RoundTrip(
+        node, [node, key](ReplyFn reply) { node->HandlePut(key, std::move(reply)); },
+        [first, shared_done](Status s) {
           if (*first) {
             *first = false;
             (*shared_done)(s);
           }
         });
-      });
-    });
   }
+}
+
+void RingCoordinator::RoundTrip(lsm::LsmNode* node, std::function<void(ReplyFn reply)> request,
+                                ReplyFn on_reply) {
+  network_->Deliver(
+      cluster::Network::kNoPeer, network_->ShardOfNode(node->node_id()),
+      [this, request = std::move(request), on_reply = std::move(on_reply)]() mutable {
+        request([this, on_reply = std::move(on_reply)](Status status) mutable {
+          network_->Deliver(cluster::Network::kNoPeer, home_shard_,
+                            [on_reply = std::move(on_reply), status] { on_reply(status); });
+        });
+      });
 }
 
 }  // namespace mitt::kv

@@ -61,15 +61,18 @@ class RingCoordinator {
  private:
   struct GetState;
 
-  void Attempt(uint64_t key, int try_index, std::shared_ptr<std::function<void(Status)>> done);
+  using ReplyFn = std::function<void(Status)>;
+
+  void Attempt(uint64_t key, int try_index, std::shared_ptr<ReplyFn> done);
   void ResilientAttempt(std::shared_ptr<GetState> g);
   void DegradedAttempt(std::shared_ptr<GetState> g, int round);
 
-  // Shard owning a replica (0 unsharded). Coordinator state — budgets,
-  // health, counters, the degraded walk — only mutates on home_shard_.
-  int NodeShard(const lsm::LsmNode* node) const {
-    return network_->ShardOfNode(node->node_id());
-  }
+  // One request/reply round trip to `node`: `request(reply)` runs on the
+  // replica's shard, `on_reply` back on the coordinator's home shard.
+  // Coordinator state — budgets, health, counters, the degraded walk — only
+  // mutates on home_shard_.
+  void RoundTrip(lsm::LsmNode* node, std::function<void(ReplyFn reply)> request,
+                 ReplyFn on_reply);
 
   sim::Simulator* sim_;
   std::vector<lsm::LsmNode*> nodes_;

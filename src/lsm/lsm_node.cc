@@ -1,15 +1,24 @@
 #include "src/lsm/lsm_node.h"
 
-#include <algorithm>
-
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
-#include "src/resilience/deadline_budget.h"
+#include <utility>
 
 namespace mitt::lsm {
 
 LsmNode::LsmNode(sim::Simulator* sim, int node_id, const Options& options)
-    : sim_(sim), node_id_(node_id), options_(options), degraded_gate_(options.admission) {
+    : sim_(sim),
+      node_id_(node_id),
+      options_(options),
+      degraded_(
+          sim, node_id, options.degraded,
+          [this](uint64_t key, DurationNs deadline, obs::TraceContext,
+                 resilience::DegradedReadLoop::ReplyFn done) {
+            lsm_->Get(key, deadline, [this, done = std::move(done)](Status s) {
+              done(s, os_->MinDeviceLatency());
+            });
+          },
+          [this](InlineFunction<void()> fn) {
+            cpu_->Execute(options_.handler_cpu / 2, std::move(fn));
+          }) {
   os::OsOptions os_options = options_.os;
   os_options.seed ^= static_cast<uint64_t>(node_id) * 0x2000'0003ULL;
   os_ = std::make_unique<os::Os>(sim_, os_options);
@@ -31,53 +40,8 @@ void LsmNode::HandleGet(uint64_t key, DurationNs deadline,
 
 void LsmNode::HandleDegradedGet(uint64_t key, DurationNs deadline,
                                 std::function<void(Status)> reply) {
-  const obs::TraceContext gate_trace{0, node_id_};
-  if (!degraded_gate_.TryAdmit()) {
-    if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled()) {
-      tr->RecordInstant(obs::SpanKind::kShed, gate_trace, sim_->Now());
-    }
-    if (obs::MetricsRegistry* m = sim_->metrics()) {
-      m->counter("resilience_shed_total", node_id_).Add();
-    }
-    cpu_->Execute(options_.handler_cpu / 2,
-                  [reply = std::move(reply)] { reply(Status::Unavailable()); });
-    return;
-  }
-  if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled()) {
-    tr->RecordInstant(obs::SpanKind::kDegradedGet, gate_trace, sim_->Now());
-  }
-  if (obs::MetricsRegistry* m = sim_->metrics()) {
-    m->counter("resilience_degraded_admit_total", node_id_).Add();
-  }
-  DurationNs first = resilience::ClampDeadline(deadline);
-  if (first < 0 || first > options_.degraded_deadline_cap) {
-    first = options_.degraded_deadline_cap;
-  }
-  cpu_->Execute(options_.handler_cpu / 2,
-                [this, key, first, reply = std::move(reply)]() mutable {
-                  DegradedAttempt(key, first, 0, std::move(reply));
-                });
-}
-
-void LsmNode::DegradedAttempt(uint64_t key, DurationNs deadline, int attempt,
-                              std::function<void(Status)> reply) {
-  degraded_max_deadline_ = std::max(degraded_max_deadline_, deadline);
-  lsm_->Get(key, deadline, [this, key, deadline, attempt,
-                            reply = std::move(reply)](Status s) mutable {
-    if (!s.busy() || attempt + 1 >= options_.degraded_max_attempts) {
-      degraded_gate_.Release();
-      cpu_->Execute(options_.handler_cpu / 2, [reply = std::move(reply), s] { reply(s); });
-      return;
-    }
-    // The LSM path exposes no per-request wait hint; wait out the device
-    // floor and escalate the (still bounded) deadline.
-    const DurationNs wait = os_->MinDeviceLatency();
-    const DurationNs next = std::min(std::max(deadline * 2, wait + deadline),
-                                     options_.degraded_deadline_cap);
-    sim_->Schedule(wait, [this, key, next, attempt, reply = std::move(reply)]() mutable {
-      DegradedAttempt(key, next, attempt + 1, std::move(reply));
-    });
-  });
+  degraded_.Serve(key, deadline, {}, os_->MinDeviceLatency(),
+                  [reply = std::move(reply)](Status s, DurationNs) { reply(s); });
 }
 
 void LsmNode::HandlePut(uint64_t key, std::function<void(Status)> reply) {

@@ -11,7 +11,7 @@
 #include "src/cluster/cpu_pool.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/os/os.h"
-#include "src/resilience/admission_gate.h"
+#include "src/resilience/degraded_read.h"
 #include "src/sim/simulator.h"
 
 namespace mitt::lsm {
@@ -25,20 +25,22 @@ class LsmNode {
     DurationNs handler_cpu = Micros(30);
 
     // Degraded (all-replicas-busy) read path (src/resilience/): bounded
-    // admission + bounded escalating deadlines, mirroring DocStoreNode.
-    resilience::AdmissionGateOptions admission;
-    int degraded_max_attempts = 10;
-    DurationNs degraded_deadline_cap = Seconds(2);
+    // admission + bounded escalating deadlines, the loop DocStoreNode uses.
+    resilience::DegradedReadOptions degraded;
   };
 
   LsmNode(sim::Simulator* sim, int node_id, const Options& options);
 
+  // In-flight requests and the degraded-read hooks hold `this`.
+  LsmNode(const LsmNode&) = delete;
+  LsmNode& operator=(const LsmNode&) = delete;
+
   void HandleGet(uint64_t key, DurationNs deadline, std::function<void(Status)> reply);
 
-  // Degraded read behind the shed gate: kUnavailable when over capacity;
-  // admitted reads retry EBUSY with escalated (capped, never disabled)
-  // deadlines. The LSM read path carries no per-request wait hints, so the
-  // inter-attempt wait uses the device floor.
+  // Degraded read through resilience::DegradedReadLoop: kUnavailable when
+  // over capacity; admitted reads retry EBUSY with escalated (capped, never
+  // disabled) deadlines. The LSM read path carries no per-request wait
+  // hints, so every EBUSY reports the device floor as its hint.
   void HandleDegradedGet(uint64_t key, DurationNs deadline, std::function<void(Status)> reply);
 
   void HandlePut(uint64_t key, std::function<void(Status)> reply);
@@ -47,14 +49,9 @@ class LsmNode {
   os::Os& os() { return *os_; }
   LsmTree& lsm() { return *lsm_; }
   uint64_t ebusy_returned() const { return ebusy_returned_; }
-  uint64_t degraded_admits() const { return degraded_gate_.admits(); }
-  uint64_t degraded_sheds() const { return degraded_gate_.sheds(); }
-  DurationNs degraded_max_deadline() const { return degraded_max_deadline_; }
+  const resilience::DegradedReadLoop& degraded() const { return degraded_; }
 
  private:
-  void DegradedAttempt(uint64_t key, DurationNs deadline, int attempt,
-                       std::function<void(Status)> reply);
-
   sim::Simulator* sim_;
   int node_id_;
   Options options_;
@@ -62,8 +59,7 @@ class LsmNode {
   std::unique_ptr<cluster::CpuPool> cpu_;
   std::unique_ptr<LsmTree> lsm_;
   uint64_t ebusy_returned_ = 0;
-  resilience::AdmissionGate degraded_gate_;
-  DurationNs degraded_max_deadline_ = 0;
+  resilience::DegradedReadLoop degraded_;
 };
 
 }  // namespace mitt::lsm

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -307,6 +308,138 @@ TEST(OneShardPinTest, TracedRunKeepsPinnedSpanOrder) {
                 static_cast<unsigned long long>(hash));
   EXPECT_STREQ(buf, "spans=1607 span_hash=ea572c258da72105");
 #endif
+}
+
+// --- Every strategy's stream ---
+//
+// One pinned scorecard per StrategyKind on two small worlds: a one-shard
+// closed-loop world where every node is noisy (failover, hedging, timeouts
+// and the degraded path all fire), and a two-shard tenant-replay world whose
+// gets carry a GetContext (tenant + class SLO) through the strategy. The
+// per-get latency sequence is folded into an FNV-1a hash, so any change to
+// routing, deadlines or event order shows up as a changed string.
+
+constexpr StrategyKind kAllStrategies[] = {
+    StrategyKind::kBase,   StrategyKind::kAppTimeout, StrategyKind::kClone,
+    StrategyKind::kHedged, StrategyKind::kSnitch,     StrategyKind::kC3,
+    StrategyKind::kMittos, StrategyKind::kMittosWait, StrategyKind::kMittosResilient,
+};
+
+std::string StrategyScorecard(const RunResult& r) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const DurationNs v : r.get_latencies.samples()) {
+    hash = (hash ^ static_cast<uint64_t>(v)) * 0x100000001b3ULL;
+  }
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "gets=%zu lat_hash=%016llx p99=%lld failovers=%llu hedges=%llu timeouts=%llu "
+      "errors=%llu degraded=%llu sheds=%llu tenant=%llu migrations=%llu hot_ticks=%llu "
+      "sim_events=%llu sim_duration=%lld",
+      r.get_latencies.count(), static_cast<unsigned long long>(hash),
+      static_cast<long long>(r.get_latencies.Percentile(99)),
+      static_cast<unsigned long long>(r.ebusy_failovers),
+      static_cast<unsigned long long>(r.hedges_sent),
+      static_cast<unsigned long long>(r.timeouts_fired),
+      static_cast<unsigned long long>(r.user_errors),
+      static_cast<unsigned long long>(r.degraded_gets),
+      static_cast<unsigned long long>(r.degraded_sheds),
+      static_cast<unsigned long long>(r.tenant_requests),
+      static_cast<unsigned long long>(r.tenant_migrations),
+      static_cast<unsigned long long>(r.controller_hot_ticks),
+      static_cast<unsigned long long>(r.sim_events), static_cast<long long>(r.sim_duration));
+  return buf;
+}
+
+TEST(StrategyPinTest, ClosedLoopOneShardMatchesPinnedStreams) {
+  ExperimentOptions opt = PinOptions();
+  opt.measure_requests = 120;
+  opt.noise = NoiseKind::kContinuous;
+  opt.continuous_all_nodes = true;
+  opt.hedge_delay = Millis(13);
+  opt.app_timeout = Millis(13);
+  const char* const kPins[] = {
+      "gets=120 lat_hash=6e322daf327509a0 p99=53422898 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 sim_events=2558 "
+      "sim_duration=2279985161",
+      "gets=120 lat_hash=13873a7427b45323 p99=80733501 failovers=0 hedges=0 timeouts=300 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 sim_events=5422 "
+      "sim_duration=3594430813",
+      "gets=120 lat_hash=a265b6a9a5decf53 p99=52505076 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 sim_events=3348 "
+      "sim_duration=2295397869",
+      "gets=120 lat_hash=e86a4626a1b508bc p99=57849191 failovers=0 hedges=150 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 sim_events=3569 "
+      "sim_duration=2396749542",
+      "gets=120 lat_hash=58d0d98911b95b13 p99=54328421 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 sim_events=2584 "
+      "sim_duration=2281492605",
+      "gets=120 lat_hash=6494ee427d72b805 p99=52729718 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 sim_events=2496 "
+      "sim_duration=2208744252",
+      "gets=120 lat_hash=ac29f795ef342f8f p99=56387730 failovers=302 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 sim_events=4034 "
+      "sim_duration=2234148133",
+      "gets=120 lat_hash=da5b6148bbc9520c p99=55255205 failovers=453 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 sim_events=4773 "
+      "sim_duration=2216826384",
+      "gets=120 lat_hash=da5b6148bbc9520c p99=55255205 failovers=453 hedges=0 timeouts=0 "
+      "errors=0 degraded=151 sheds=0 tenant=0 migrations=0 hot_ticks=0 sim_events=4773 "
+      "sim_duration=2216826384",
+  };
+  for (size_t i = 0; i < std::size(kAllStrategies); ++i) {
+    EXPECT_EQ(StrategyScorecard(RunPinned(opt, kAllStrategies[i])), kPins[i])
+        << StrategyKindName(kAllStrategies[i]);
+  }
+}
+
+TEST(StrategyPinTest, TenantReplayTwoShardsMatchesPinnedStreams) {
+  ExperimentOptions opt = PinOptions();
+  opt.num_shards = 2;
+  opt.noise = NoiseKind::kContinuous;
+  opt.hedge_delay = Millis(13);
+  opt.app_timeout = Millis(13);
+  opt.replay.synthetic_profile = 0;
+  opt.replay.synthetic_duration = Seconds(2);
+  opt.replay.max_events = 300;
+  opt.replay.warmup_events = 30;
+  opt.tenants.enabled = true;
+  opt.tenants.mix.num_tenants = 40;
+  opt.tenants.slo_aware = true;
+  const char* const kPins[] = {
+      "gets=270 lat_hash=4efb4914cda79aee p99=137229864 failovers=0 hedges=0 timeouts=124 "
+      "errors=0 degraded=0 sheds=0 tenant=270 migrations=34 hot_ticks=4 sim_events=2720 "
+      "sim_duration=951217284",
+      "gets=270 lat_hash=4efb4914cda79aee p99=137229864 failovers=0 hedges=0 timeouts=124 "
+      "errors=0 degraded=0 sheds=0 tenant=270 migrations=34 hot_ticks=4 sim_events=2720 "
+      "sim_duration=951217284",
+      "gets=270 lat_hash=4e2a807e3454e75e p99=17837823 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=270 migrations=0 hot_ticks=4 sim_events=3934 "
+      "sim_duration=934197177",
+      "gets=270 lat_hash=bfba70fe7061e856 p99=26589353 failovers=0 hedges=75 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=270 migrations=0 hot_ticks=0 sim_events=2969 "
+      "sim_duration=934363296",
+      "gets=270 lat_hash=615f1bc861bc0434 p99=34933368 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=270 migrations=0 hot_ticks=0 sim_events=2298 "
+      "sim_duration=934238820",
+      "gets=270 lat_hash=7d344793337222a8 p99=8068493 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=270 migrations=0 hot_ticks=0 sim_events=2284 "
+      "sim_duration=934367785",
+      "gets=270 lat_hash=c9de3790329e89a2 p99=530219026 failovers=114 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=270 migrations=34 hot_ticks=4 sim_events=2803 "
+      "sim_duration=951211533",
+      "gets=270 lat_hash=c9de3790329e89a2 p99=530219026 failovers=114 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=270 migrations=34 hot_ticks=4 sim_events=2803 "
+      "sim_duration=951211533",
+      "gets=270 lat_hash=d5d65ce8ebb21e0a p99=25545783 failovers=13 hedges=0 timeouts=2 "
+      "errors=0 degraded=2 sheds=0 tenant=270 migrations=0 hot_ticks=0 sim_events=2365 "
+      "sim_duration=933505381",
+  };
+  for (size_t i = 0; i < std::size(kAllStrategies); ++i) {
+    const RunResult r = Experiment(opt).Run(kAllStrategies[i]);
+    EXPECT_EQ(r.num_shards, 2);
+    EXPECT_EQ(StrategyScorecard(r), kPins[i]) << StrategyKindName(kAllStrategies[i]);
+  }
 }
 
 }  // namespace

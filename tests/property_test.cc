@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -86,6 +87,13 @@ struct DiskCase {
   size_t queue_depth;
   int ios;
 };
+
+// Names each case by its fields (ctest lists parameterized tests by the
+// printed parameter); without it gtest prints the raw bytes, padding
+// included, which differ between builds of the same source.
+void PrintTo(const DiskCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_qd" << c.queue_depth << "_ios" << c.ios;
+}
 
 class DiskProperty : public ::testing::TestWithParam<DiskCase> {};
 

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
+#include <numeric>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/client/mittos_client.h"
@@ -17,12 +21,14 @@
 #include "src/client/timeout.h"
 #include "src/fault/fault_plan.h"
 #include "src/harness/scenario_runner.h"
+#include "src/kv/doc_store_node.h"
 #include "src/kv/ring_coordinator.h"
 #include "src/lsm/lsm_node.h"
 #include "src/noise/noise_injector.h"
 #include "src/obs/export.h"
 #include "src/resilience/admission_gate.h"
 #include "src/resilience/deadline_budget.h"
+#include "src/resilience/degraded_read.h"
 #include "src/resilience/replica_health.h"
 #include "src/resilience/retry_policy.h"
 #include "src/sim/simulator.h"
@@ -118,6 +124,184 @@ TEST(AdmissionGateTest, ShedsAtCapacityAndReopensOnRelease) {
   EXPECT_TRUE(gate.TryAdmit());
   EXPECT_EQ(gate.admits(), 3u);
   EXPECT_EQ(gate.inflight(), 2);
+}
+
+// ------------------------------------------------------ DegradedReadLoop
+
+// Scripted hooks: every attempt replies EBUSY with the next scripted hint,
+// so the escalation and the inter-attempt waits are exact.
+TEST(DegradedReadLoopTest, EscalatesMaxOfDoubleAndHintPlusDeadlineUpToCap) {
+  sim::Simulator sim;
+  resilience::DegradedReadOptions opt;
+  opt.max_attempts = 5;
+  opt.deadline_cap = Micros(6000);
+  const DurationNs hints[] = {Micros(20), Micros(3000), Micros(100), Micros(100), Micros(100)};
+  std::vector<std::pair<TimeNs, DurationNs>> attempts;  // (issue time, deadline)
+  resilience::DegradedReadLoop loop(
+      &sim, 0, opt,
+      [&](uint64_t, DurationNs deadline, obs::TraceContext,
+          resilience::DegradedReadLoop::ReplyFn done) {
+        const DurationNs hint = hints[attempts.size()];
+        attempts.emplace_back(sim.Now(), deadline);
+        done(Status::Ebusy(), hint);
+      },
+      [](InlineFunction<void()> fn) { fn(); });
+  Status result = Status::Internal();
+  loop.Serve(1, Micros(500), {}, 0, [&](Status s, DurationNs) { result = s; });
+  sim.Run();
+  // Deadlines: max(2d, hint + d) capped at 6 ms. Waits: max(hint, 50 us).
+  const std::vector<std::pair<TimeNs, DurationNs>> expected = {
+      {0, Micros(500)},
+      {Micros(50), Micros(1000)},
+      {Micros(3050), Micros(4000)},
+      {Micros(3150), Micros(6000)},
+      {Micros(3250), Micros(6000)},
+  };
+  EXPECT_EQ(attempts, expected);
+  EXPECT_TRUE(result.busy());  // Attempts exhausted: the last status surfaces.
+  EXPECT_EQ(loop.gate().inflight(), 0);
+  EXPECT_EQ(loop.max_deadline(), Micros(6000));
+
+  // A disabled deadline starts at the cap; an underflowed one at 0.
+  attempts.clear();
+  loop.Serve(2, sched::kNoDeadline, {}, 0, [](Status, DurationNs) {});
+  sim.Run();
+  ASSERT_FALSE(attempts.empty());
+  EXPECT_EQ(attempts[0].second, Micros(6000));
+  attempts.clear();
+  loop.Serve(3, -5, {}, 0, [](Status, DurationNs) {});
+  sim.Run();
+  ASSERT_FALSE(attempts.empty());
+  EXPECT_EQ(attempts[0].second, 0);
+  EXPECT_EQ(loop.gate().inflight(), 0);
+}
+
+// Queues 40 x 1 MB bypass-cache reads on `os`: hundreds of ms of backlog,
+// so every bounded read behind it sees EBUSY.
+void SaturateOs(os::Os& os) {
+  const uint64_t noise_file = os.CreateFile(100LL << 30);
+  for (int i = 0; i < 40; ++i) {
+    os::Os::ReadArgs args;
+    args.file = noise_file;
+    args.offset = static_cast<int64_t>(i) << 30;
+    args.size = 1 << 20;
+    args.pid = 99;
+    args.bypass_cache = true;
+    os.Read(args, nullptr);
+  }
+}
+
+// The shared loop as each storage node runs it, on a real saturated node.
+template <typename Node>
+class DegradedNodeTest : public ::testing::Test {
+ protected:
+  void Build(int max_attempts, DurationNs cap, int max_inflight = 8) {
+    typename Node::Options opt;
+    opt.os.backend = os::BackendKind::kDiskCfq;
+    opt.os.mitt_enabled = true;
+    opt.degraded.admission.max_inflight = max_inflight;
+    opt.degraded.max_attempts = max_attempts;
+    opt.degraded.deadline_cap = cap;
+    if constexpr (std::is_same_v<Node, kv::DocStoreNode>) {
+      opt.num_keys = 1 << 14;
+      node_ = std::make_unique<Node>(&sim_, 0, opt);
+    } else {
+      node_ = std::make_unique<Node>(&sim_, 0, opt);
+      std::vector<uint64_t> keys(20000);
+      std::iota(keys.begin(), keys.end(), 0);
+      node_->lsm().BulkLoad(keys);
+    }
+  }
+
+  // Issues one degraded read; the returned slot holds its status once the
+  // reply arrives.
+  const Status* Read(uint64_t key, DurationNs deadline) {
+    Status* out = &replies_.emplace_back(Status::Internal());
+    ++pending_;
+    auto reply = [this, out](Status s) {
+      *out = s;
+      --pending_;
+    };
+    if constexpr (std::is_same_v<Node, kv::DocStoreNode>) {
+      node_->HandleDegradedGet(key, deadline, [reply](Status s, DurationNs) { reply(s); });
+    } else {
+      node_->HandleDegradedGet(key, deadline, reply);
+    }
+    return out;
+  }
+
+  void RunUntilReplied() {
+    sim_.RunUntilPredicate([this] { return pending_ == 0; });
+    ASSERT_EQ(pending_, 0);
+  }
+
+  const resilience::DegradedReadLoop& loop() const { return node_->degraded(); }
+
+  sim::Simulator sim_;
+  std::unique_ptr<Node> node_;
+  std::deque<Status> replies_;
+  int pending_ = 0;
+};
+
+using StorageNodes = ::testing::Types<kv::DocStoreNode, lsm::LsmNode>;
+TYPED_TEST_SUITE(DegradedNodeTest, StorageNodes);
+
+TYPED_TEST(DegradedNodeTest, FirstEscalationIsHintPlusDeadline) {
+  this->Build(/*max_attempts=*/2, Seconds(2));
+  SaturateOs(this->node_->os());
+  const Status* status = this->Read(7, Micros(1));
+  this->RunUntilReplied();
+  EXPECT_TRUE(status->busy());  // Both attempts rejected: exhaustion surfaces EBUSY.
+  // Attempt 0 asks for 1 us, under the device floor: EBUSY with the floor as
+  // its hint, so attempt 1 asks for max(2 us, floor + 1 us).
+  const DurationNs floor = this->node_->os().MinDeviceLatency();
+  EXPECT_EQ(this->loop().max_deadline(), std::max(2 * Micros(1), floor + Micros(1)));
+  EXPECT_EQ(this->loop().gate().inflight(), 0);
+}
+
+TYPED_TEST(DegradedNodeTest, EscalationStopsAtCapAndNeverDisables) {
+  this->Build(/*max_attempts=*/10, Millis(3));
+  SaturateOs(this->node_->os());
+  const Status* escalated = this->Read(7, Micros(1));
+  const Status* disabled = this->Read(8, sched::kNoDeadline);
+  this->RunUntilReplied();
+  // DocStoreNode waits out each predicted wait, so its reads complete once
+  // the backlog drains; LsmNode waits only the device floor and exhausts.
+  // Either way neither read was shed, and no deadline passed the cap —
+  // kNoDeadline included.
+  EXPECT_NE(escalated->code(), StatusCode::kUnavailable);
+  EXPECT_NE(disabled->code(), StatusCode::kUnavailable);
+  EXPECT_EQ(this->loop().max_deadline(), Millis(3));
+  EXPECT_EQ(this->loop().gate().inflight(), 0);
+}
+
+TYPED_TEST(DegradedNodeTest, ShedsPastMaxInflightAndReadmitsAfterRelease) {
+  this->Build(/*max_attempts=*/3, Millis(2), /*max_inflight=*/2);
+  SaturateOs(this->node_->os());
+  const Status* a = this->Read(1, Micros(1));
+  const Status* b = this->Read(2, Micros(1));
+  const Status* shed = this->Read(3, Micros(1));
+  this->RunUntilReplied();
+  EXPECT_EQ(shed->code(), StatusCode::kUnavailable);
+  EXPECT_NE(a->code(), StatusCode::kUnavailable);
+  EXPECT_NE(b->code(), StatusCode::kUnavailable);
+  EXPECT_EQ(this->loop().gate().admits(), 2u);
+  EXPECT_EQ(this->loop().gate().sheds(), 1u);
+  EXPECT_EQ(this->loop().gate().inflight(), 0);
+
+  // Freed slots admit a second batch once the backlog drains, and the slots
+  // that batch frees on completion admit a third.
+  this->sim_.RunUntil(this->sim_.Now() + Seconds(5));
+  for (int batch = 0; batch < 2; ++batch) {
+    const Status* c = this->Read(10 + 2 * batch, Millis(500));
+    const Status* d = this->Read(11 + 2 * batch, Millis(500));
+    this->RunUntilReplied();
+    EXPECT_TRUE(c->ok()) << batch;
+    EXPECT_TRUE(d->ok()) << batch;
+    EXPECT_EQ(this->loop().gate().inflight(), 0);
+  }
+  EXPECT_EQ(this->loop().gate().admits(), 6u);
+  EXPECT_EQ(this->loop().gate().sheds(), 1u);
 }
 
 // ----------------------------------------------------- ReplicaHealthTracker
@@ -280,7 +464,7 @@ class ResilientClientTest : public ::testing::Test {
     const TimeNs start = sim_.Now();
     TimeNs done = -1;
     client::GetResult result;
-    strategy.Get(key, [&](const client::GetResult& r) {
+    strategy.Get(key, {}, [&](const client::GetResult& r) {
       result = r;
       done = sim_.Now();
     });
@@ -419,17 +603,7 @@ class RingResilienceTest : public ::testing::Test {
 
   void SaturateAllNodes() {
     for (auto& node : nodes_) {
-      os::Os& os = node->os();
-      const uint64_t noise_file = os.CreateFile(100LL << 30);
-      for (int i = 0; i < 40; ++i) {
-        os::Os::ReadArgs args;
-        args.file = noise_file;
-        args.offset = static_cast<int64_t>(i) << 30;
-        args.size = 1 << 20;
-        args.pid = 99;
-        args.bypass_cache = true;
-        os.Read(args, nullptr);
-      }
+      SaturateOs(node->os());
     }
   }
 
@@ -539,7 +713,7 @@ TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
     for (client::GetStrategy* strategy : strategies) {
       calls.push_back(0);
       int* slot = &calls.back();
-      strategy->Get(rng.UniformInt(0, copt.node.num_keys - 1),
+      strategy->Get(rng.UniformInt(0, copt.node.num_keys - 1), {},
                     [slot, &completed](const client::GetResult&) {
                       ++*slot;
                       ++completed;
