@@ -227,7 +227,7 @@ struct Stream {
     a.pid = pid;
     a.deadline = deadline;
     a.bypass_cache = bypass;
-    o->ReadWithWaitHint(a, [this](Status s, DurationNs) { Done(s.busy()); });
+    o->Read(a, [this](Status s) { Done(s.busy()); });
   }
   void Done(bool busy) {
     if (busy) {

@@ -53,7 +53,7 @@ void SnitchStrategy::Get(uint64_t key, const GetContext&, GetDoneFn done) {
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
   SendGet(
       best, key, sched::kNoDeadline,
-      [this, best, start, shared_done](Status status, DurationNs) {
+      [this, best, start, shared_done](Status status) {
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];
         score = (1.0 - options_.ewma_alpha) * score + options_.ewma_alpha * sample;
@@ -101,7 +101,7 @@ void C3Strategy::Get(uint64_t key, const GetContext&, GetDoneFn done) {
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
   SendGet(
       best, key, sched::kNoDeadline,
-      [this, best, start, shared_done](Status status, DurationNs) {
+      [this, best, start, shared_done](Status status) {
         --outstanding_[static_cast<size_t>(best)];
         const double sample = static_cast<double>(sim_->Now() - start);
         double& score = ewma_ns_[static_cast<size_t>(best)];

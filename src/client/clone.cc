@@ -17,7 +17,7 @@ void CloneStrategy::Get(uint64_t key, const GetContext&, GetDoneFn done) {
   }
   auto settled = std::make_shared<bool>(false);
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
-  auto on_reply = [settled, shared_done](Status status, DurationNs) {
+  auto on_reply = [settled, shared_done](Status status) {
     if (*settled) {
       return;  // The slower clone; discarded.
     }

@@ -14,7 +14,7 @@ void HedgedStrategy::Get(uint64_t key, const GetContext&, GetDoneFn done) {
   auto shared_done = std::make_shared<GetDoneFn>(std::move(done));
   auto tries = std::make_shared<int>(1);
 
-  auto on_reply = [settled, shared_done, tries](Status status, DurationNs) {
+  auto on_reply = [settled, shared_done, tries](Status status) {
     if (*settled) {
       return;  // The slower of the two; the first response wins.
     }

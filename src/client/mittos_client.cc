@@ -26,7 +26,7 @@ void MittosStrategy::Attempt(uint64_t key, GetContext ctx, int try_index,
   const int node = replicas.node[static_cast<size_t>(try_index)];
   SendGet(
       node, key, deadline,
-      [this, key, ctx, try_index, done, trace](Status status, DurationNs) {
+      [this, key, ctx, try_index, done, trace](Status status) {
         if (status.busy()) {
           ++ebusy_failovers_;
           RecordFailover(trace);
@@ -81,7 +81,7 @@ void MittosWaitStrategy::TryReplica(std::shared_ptr<Attempt> attempt) {
     const int tries = static_cast<int>(attempt->replicas.size()) + 1;
     SendGet(
         node, attempt->key, sched::kNoDeadline,
-        [attempt, tries](Status status, DurationNs) { attempt->done({status, tries}); },
+        [attempt, tries](Status status) { attempt->done({status, tries}); },
         attempt->trace, attempt->tenant);
     return;
   }
@@ -89,10 +89,10 @@ void MittosWaitStrategy::TryReplica(std::shared_ptr<Attempt> attempt) {
   const int node = attempt->replicas[index];
   SendGet(
       node, attempt->key, attempt->deadline,
-      [this, attempt, index](Status status, DurationNs hint) {
+      [this, attempt, index](Status status) {
         if (status.busy()) {
           ++ebusy_failovers_;
-          attempt->hints[index] = hint;
+          attempt->hints[index] = status.wait_hint();
           RecordFailover(attempt->trace);
           TryReplica(attempt);
           return;

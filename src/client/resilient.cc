@@ -188,7 +188,7 @@ void ResilientMittosStrategy::TryNext(std::shared_ptr<GetState> g) {
 
   SendGet(
       node, g->key, remaining,
-      [this, g, attempt](Status status, DurationNs hint) {
+      [this, g, attempt](Status status) {
         // Health sees every reply, even stale ones — a late answer is still
         // evidence about the replica.
         health_.OnReply(attempt->node, sim_->Now() - attempt->sent_at, status.busy());
@@ -206,7 +206,7 @@ void ResilientMittosStrategy::TryNext(std::shared_ptr<GetState> g) {
           // chaos search's planted bug (see ResilientOptions).
           if (!options_.test_swallow_late_reply && !attempt->retry_scheduled && !g->settled) {
             if (status.busy()) {
-              g->hints[attempt->index] = hint;
+              g->hints[attempt->index] = status.wait_hint();
               ++ebusy_failovers_;
               RecordFailover(g->trace);
               TryNext(g);
@@ -222,7 +222,7 @@ void ResilientMittosStrategy::TryNext(std::shared_ptr<GetState> g) {
           return;
         }
         if (status.busy()) {
-          g->hints[attempt->index] = hint;
+          g->hints[attempt->index] = status.wait_hint();
           ++ebusy_failovers_;
           RecordFailover(g->trace);
           TryNext(g);  // Instant, exceptionless failover (§5) — no backoff.
@@ -294,7 +294,7 @@ void ResilientMittosStrategy::DegradedNext(std::shared_ptr<GetState> g, int roun
   deadline = NoteSentDeadline(std::min(deadline, options_.degraded_deadline_cap));
   SendDegradedGet(
       node, g->key, deadline,
-      [this, g, round](Status status, DurationNs) {
+      [this, g, round](Status status) {
         if (g->settled) {
           return;
         }

@@ -15,13 +15,11 @@ namespace {
 // client's home shard, so the continuation fires on the simulator that
 // issued the request. Tagged with the storage-node endpoint so per-link
 // faults (src/fault/) hit replies from that node.
-kv::DocStoreNode::RichReplyFn ReplyHop(cluster::Cluster* cluster, int node, int home,
-                                       kv::DocStoreNode::RichReplyFn on_reply) {
-  return [cluster, node, home, on_reply = std::move(on_reply)](Status status,
-                                                                DurationNs hint) mutable {
-    cluster->network().Deliver(node, home, [on_reply = std::move(on_reply), status, hint] {
-      on_reply(status, hint);
-    });
+std::function<void(Status)> ReplyHop(cluster::Cluster* cluster, int node, int home,
+                                     std::function<void(Status)> on_reply) {
+  return [cluster, node, home, on_reply = std::move(on_reply)](Status status) mutable {
+    cluster->network().Deliver(node, home,
+                               [on_reply = std::move(on_reply), status] { on_reply(status); });
   };
 }
 
@@ -38,8 +36,7 @@ void GetStrategy::SendGet(int node, uint64_t key, DurationNs deadline, ReplyFn o
   net.Deliver(node, net.ShardOfNode(node),
               [cluster = cluster_, node, key, deadline, trace, tenant,
                reply = ReplyHop(cluster_, node, sim_->shard_id(), std::move(on_reply))]() mutable {
-                cluster->node(node).HandleGetWithHint(key, deadline, std::move(reply), trace,
-                                                      tenant);
+                cluster->node(node).HandleGet(key, deadline, std::move(reply), trace, tenant);
               });
 }
 

@@ -64,10 +64,10 @@ class GetStrategy {
   void set_placement(const tenant::PlacementMap* placement) { placement_ = placement; }
 
  protected:
-  // Server reply: the status, and on EBUSY the OS' predicted wait (§7.8.1's
-  // interface extension; 0 otherwise). Callers that do not use the hint
-  // ignore it.
-  using ReplyFn = std::function<void(Status, DurationNs hint)>;
+  // Server reply. An EBUSY carries the OS' predicted wait as
+  // Status::wait_hint() (§7.8.1's interface extension), a degraded-path shed
+  // the device floor; MittOS+wait and MittOS+res read it.
+  using ReplyFn = std::function<void(Status)>;
 
   // One request/reply round trip to `node`. `trace` ties the server-side
   // spans back to this client request (src/obs/; default: untraced);

@@ -43,7 +43,7 @@ void TimeoutStrategy::Attempt(uint64_t key, GetContext ctx, int try_index,
 
   SendGet(
       node, key, sched::kNoDeadline,
-      [this, timer, settled, done, try_index](Status status, DurationNs) {
+      [this, timer, settled, done, try_index](Status status) {
         if (*settled) {
           return;  // Timed out earlier; this reply is stale (app-level cancel).
         }

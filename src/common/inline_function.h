@@ -11,12 +11,15 @@
 // Semantics: move-only, nullable. Moving from an InlineFunction empties it
 // (the target is moved out and destroyed, not left engaged), which is what
 // lets Simulator::Step move a closure out of a pooled slot and immediately
-// recycle the slot.
+// recycle the slot. Converting from an empty std::function yields an empty
+// InlineFunction, so `if (fn)` tests keep meaning "the caller wants a
+// callback" when a std::function is passed where an InlineFunction is taken.
 
 #ifndef MITTOS_COMMON_INLINE_FUNCTION_H_
 #define MITTOS_COMMON_INLINE_FUNCTION_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -32,6 +35,13 @@ inline constexpr size_t kInlineFunctionBytes = 48;
 template <typename Signature>
 class InlineFunction;
 
+namespace internal {
+template <typename T>
+inline constexpr bool kIsStdFunction = false;
+template <typename S>
+inline constexpr bool kIsStdFunction<std::function<S>> = true;
+}  // namespace internal
+
 template <typename R, typename... Args>
 class InlineFunction<R(Args...)> {
  public:
@@ -43,6 +53,11 @@ class InlineFunction<R(Args...)> {
             typename = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
                                         std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction(F&& fn) {  // NOLINT(google-explicit-constructor)
+    if constexpr (internal::kIsStdFunction<D>) {
+      if (!fn) {
+        return;  // Empty source: stay empty.
+      }
+    }
     if constexpr (kFitsInline<D>) {
       ::new (static_cast<void*>(storage_.buf)) D(std::forward<F>(fn));
       invoke_ = &InvokeInline<D>;

@@ -13,7 +13,7 @@ DocStoreNode::DocStoreNode(sim::Simulator* sim, int node_id, const Options& opti
           sim, node_id, options.degraded,
           [this](uint64_t key, DurationNs deadline, obs::TraceContext trace,
                  resilience::DegradedReadLoop::ReplyFn done) {
-            os_->ReadWithWaitHint(ReadArgsOf(key, deadline, trace), std::move(done));
+            os_->Read(ReadArgsOf(key, deadline, trace), std::move(done));
           },
           [this](InlineFunction<void()> fn) {
             cpu_->Execute(options_.handler_cpu / 2, std::move(fn));
@@ -56,13 +56,6 @@ void DocStoreNode::CrashRestart(DurationNs downtime) {
 void DocStoreNode::HandleGet(uint64_t key, DurationNs deadline,
                              std::function<void(Status)> reply, obs::TraceContext trace,
                              uint32_t tenant) {
-  HandleGetWithHint(
-      key, deadline, [reply = std::move(reply)](Status s, DurationNs) { reply(s); }, trace,
-      tenant);
-}
-
-void DocStoreNode::HandleGetWithHint(uint64_t key, DurationNs deadline, RichReplyFn reply,
-                                     obs::TraceContext trace, uint32_t tenant) {
   ++gets_served_;
   if (tenant < tenant_gets_.size()) {
     ++tenant_gets_[tenant];
@@ -73,11 +66,11 @@ void DocStoreNode::HandleGetWithHint(uint64_t key, DurationNs deadline, RichRepl
                 });
 }
 
-void DocStoreNode::DoRead(uint64_t key, DurationNs deadline, RichReplyFn reply,
+void DocStoreNode::DoRead(uint64_t key, DurationNs deadline, std::function<void(Status)> reply,
                           obs::TraceContext trace, uint32_t tenant) {
   const int64_t offset = OffsetOfKey(key);
 
-  auto finish = [this, tenant, reply = std::move(reply)](Status status, DurationNs hint) {
+  auto finish = [this, tenant, reply = std::move(reply)](Status status) {
     if (status.busy()) {
       ++ebusy_returned_;
       if (tenant < tenant_ebusy_.size()) {
@@ -90,7 +83,7 @@ void DocStoreNode::DoRead(uint64_t key, DurationNs deadline, RichReplyFn reply,
     if (status.busy() && options_.exception_on_ebusy) {
       cost += options_.exception_cost;
     }
-    cpu_->Execute(cost, [reply, status, hint] { reply(status, hint); });
+    cpu_->Execute(cost, [reply, status] { reply(status); });
   };
 
   if (options_.access == AccessPath::kMmapAddrCheck) {
@@ -98,19 +91,17 @@ void DocStoreNode::DoRead(uint64_t key, DurationNs deadline, RichReplyFn reply,
     if (check.status.busy()) {
       // Fail over instantly; the OS keeps swapping the page in behind us.
       // The wait hint is the device floor (the page must come off the disk).
-      const DurationNs hint = os_->MinDeviceLatency();
-      sim_->Schedule(check.cost, [finish, hint] { finish(Status::Ebusy(), hint); });
+      const Status busy = Status::Ebusy(os_->MinDeviceLatency());
+      sim_->Schedule(check.cost, [finish, busy] { finish(busy); });
       return;
     }
     sim_->Schedule(check.cost, [this, offset, finish] {
-      os_->MmapAccess(data_file_, offset, options_.doc_size, options_.server_pid,
-                      [finish](Status s) { finish(s, 0); });
+      os_->MmapAccess(data_file_, offset, options_.doc_size, options_.server_pid, finish);
     });
     return;
   }
 
-  os_->ReadWithWaitHint(ReadArgsOf(key, deadline, trace),
-                        [finish](Status s, DurationNs hint) { finish(s, hint); });
+  os_->Read(ReadArgsOf(key, deadline, trace), std::move(finish));
 }
 
 os::Os::ReadArgs DocStoreNode::ReadArgsOf(uint64_t key, DurationNs deadline,
@@ -125,8 +116,8 @@ os::Os::ReadArgs DocStoreNode::ReadArgsOf(uint64_t key, DurationNs deadline,
   return args;
 }
 
-void DocStoreNode::HandleDegradedGet(uint64_t key, DurationNs deadline, RichReplyFn reply,
-                                     obs::TraceContext trace) {
+void DocStoreNode::HandleDegradedGet(uint64_t key, DurationNs deadline,
+                                     std::function<void(Status)> reply, obs::TraceContext trace) {
   ++gets_served_;
   degraded_.Serve(key, deadline, trace, os_->MinDeviceLatency(), std::move(reply));
 }

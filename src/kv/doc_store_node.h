@@ -75,23 +75,19 @@ class DocStoreNode {
   DocStoreNode& operator=(const DocStoreNode&) = delete;
 
   // Serves one get(). `deadline` of sched::kNoDeadline means no SLO (vanilla
-  // request). Replies with kOk or kEbusy. `trace` identifies the originating
-  // client request for src/obs/ (default: untraced); `tenant` attributes the
-  // get to a tenant slot when accounting is enabled.
+  // request). Replies with kOk or kEbusy; an EBUSY carries the OS' predicted
+  // wait as its wait_hint() (§7.8.1 extension), so the client can pick the
+  // least-busy replica when all replicas reject. `trace` identifies the
+  // originating client request for src/obs/ (default: untraced); `tenant`
+  // attributes the get to a tenant slot when accounting is enabled.
   void HandleGet(uint64_t key, DurationNs deadline, std::function<void(Status)> reply,
                  obs::TraceContext trace = {}, uint32_t tenant = kNoTenant);
-
-  // §7.8.1 extension: EBUSY replies carry the OS' predicted wait so the
-  // client can pick the least-busy replica when all replicas reject.
-  using RichReplyFn = std::function<void(Status, DurationNs predicted_wait)>;
-  void HandleGetWithHint(uint64_t key, DurationNs deadline, RichReplyFn reply,
-                         obs::TraceContext trace = {}, uint32_t tenant = kNoTenant);
 
   // Degraded read (all replicas rejected) through resilience::
   // DegradedReadLoop: shed with kUnavailable (+ the device floor as wait
   // hint) over capacity; admitted reads escalate bounded deadlines until
   // the read completes.
-  void HandleDegradedGet(uint64_t key, DurationNs deadline, RichReplyFn reply,
+  void HandleDegradedGet(uint64_t key, DurationNs deadline, std::function<void(Status)> reply,
                          obs::TraceContext trace = {});
 
   // Serves one put() — buffered write (§7.8.6).
@@ -136,8 +132,8 @@ class DocStoreNode {
            options_.slot_size;
   }
 
-  void DoRead(uint64_t key, DurationNs deadline, RichReplyFn reply, obs::TraceContext trace,
-              uint32_t tenant);
+  void DoRead(uint64_t key, DurationNs deadline, std::function<void(Status)> reply,
+              obs::TraceContext trace, uint32_t tenant);
   os::Os::ReadArgs ReadArgsOf(uint64_t key, DurationNs deadline, obs::TraceContext trace) const;
 
   sim::Simulator* sim_;

@@ -12,8 +12,11 @@ LsmNode::LsmNode(sim::Simulator* sim, int node_id, const Options& options)
           sim, node_id, options.degraded,
           [this](uint64_t key, DurationNs deadline, obs::TraceContext,
                  resilience::DegradedReadLoop::ReplyFn done) {
+            // LsmTree::Get surfaces the block read's EBUSY with the OS hint
+            // for that one block; re-stamp it with the device floor (see
+            // lsm_node.h).
             lsm_->Get(key, deadline, [this, done = std::move(done)](Status s) {
-              done(s, os_->MinDeviceLatency());
+              done(s.busy() ? Status::Ebusy(os_->MinDeviceLatency()) : s);
             });
           },
           [this](InlineFunction<void()> fn) {
@@ -40,8 +43,7 @@ void LsmNode::HandleGet(uint64_t key, DurationNs deadline,
 
 void LsmNode::HandleDegradedGet(uint64_t key, DurationNs deadline,
                                 std::function<void(Status)> reply) {
-  degraded_.Serve(key, deadline, {}, os_->MinDeviceLatency(),
-                  [reply = std::move(reply)](Status s, DurationNs) { reply(s); });
+  degraded_.Serve(key, deadline, {}, os_->MinDeviceLatency(), std::move(reply));
 }
 
 void LsmNode::HandlePut(uint64_t key, std::function<void(Status)> reply) {

@@ -39,8 +39,12 @@ class LsmNode {
 
   // Degraded read through resilience::DegradedReadLoop: kUnavailable when
   // over capacity; admitted reads retry EBUSY with escalated (capped, never
-  // disabled) deadlines. The LSM read path carries no per-request wait
-  // hints, so every EBUSY reports the device floor as its hint.
+  // disabled) deadlines. Every EBUSY the loop sees reports the device floor
+  // as its wait hint, not the OS' predicted wait: a LevelDB get walks
+  // several candidate tables and fails on whichever block read was rejected,
+  // so that one IO's queue estimate is not the get's wait. The floor makes
+  // the loop re-poll soon and escalate by doubling; it is also the hint
+  // bench_fig13_riak and RingPinTest were produced with.
   void HandleDegradedGet(uint64_t key, DurationNs deadline, std::function<void(Status)> reply);
 
   void HandlePut(uint64_t key, std::function<void(Status)> reply);

@@ -48,7 +48,7 @@ struct TraceContext {
 };
 
 enum class SpanKind : uint8_t {
-  kSyscall,        // Os::Read/ReadWithWaitHint/AddrCheck entry -> reply.
+  kSyscall,        // Os::Read/AddrCheck entry -> reply.
   kCacheLookup,    // Page-cache residency probe (instant).
   kPredict,        // Mitt* admission check (instant).
   kQueueWait,      // Scheduler enqueue -> device dispatch.

@@ -95,14 +95,6 @@ sched::IoRequest* Os::NewRequest() {
   return req;
 }
 
-void Os::Read(const ReadArgs& args, std::function<void(Status)> done) {
-  if (done) {
-    ReadWithWaitHint(args, [done = std::move(done)](Status s, DurationNs) { done(s); });
-  } else {
-    ReadWithWaitHint(args, nullptr);
-  }
-}
-
 void Os::TraceReadDone(const obs::TraceContext& trace, TimeNs begin, TimeNs end,
                        DurationNs deadline, Status status) {
   if (obs::Tracer* tr = sim_->tracer(); tr != nullptr && tr->enabled() && trace.traced()) {
@@ -123,7 +115,7 @@ void Os::TraceReadDone(const obs::TraceContext& trace, TimeNs begin, TimeNs end,
   }
 }
 
-void Os::ReadWithWaitHint(const ReadArgs& orig_args, RichReadFn done) {
+void Os::Read(const ReadArgs& orig_args, sched::IoDoneFn done) {
   ReadArgs args = orig_args;
   // Defensive underflow clamp: a negative deadline that is not exactly
   // kNoDeadline is client hop arithmetic gone wrong ("deadline - elapsed"
@@ -155,7 +147,7 @@ void Os::ReadWithWaitHint(const ReadArgs& orig_args, RichReadFn done) {
         sim_->Schedule(options_.hit_latency, [this, req] {
           auto cb = std::move(req->done);
           pool_.Release(req);
-          cb(Status::Ok(), 0);
+          cb(Status::Ok());
         });
       } else {
         sim_->Schedule(options_.hit_latency, [] {});
@@ -173,17 +165,14 @@ void Os::ReadWithWaitHint(const ReadArgs& orig_args, RichReadFn done) {
     // no device IO can make the deadline. Reject without queueing anything.
     // The wait hint is the device floor: the soonest any retry here could
     // complete.
-    const DurationNs hint = MinDeviceLatency();
     TraceReadDone(trace, t0, t0 + options_.syscall_overhead, args.deadline, Status::Ebusy());
     if (done) {
       sched::IoRequest* req = pool_.Acquire();
       req->done = std::move(done);
-      req->predicted_wait = hint;
       sim_->Schedule(options_.syscall_overhead, [this, req] {
         auto cb = std::move(req->done);
-        const DurationNs wait_hint = req->predicted_wait;
         pool_.Release(req);
-        cb(Status::Ebusy(), wait_hint);
+        cb(Status::Ebusy(MinDeviceLatency()));
       });
     } else {
       sim_->Schedule(options_.syscall_overhead, [] {});
@@ -198,7 +187,7 @@ void Os::ReadWithWaitHint(const ReadArgs& orig_args, RichReadFn done) {
 
 void Os::SubmitDeviceRead(uint64_t file, int64_t offset, int64_t size, DurationNs deadline,
                           int32_t pid, sched::IoClass io_class, int8_t priority, bool fill_cache,
-                          obs::TraceContext trace, RichReadFn done) {
+                          obs::TraceContext trace, sched::IoDoneFn done) {
   sched::IoRequest* req = NewRequest();
   req->op = sched::IoOp::kRead;
   req->file = file;
@@ -236,9 +225,9 @@ void Os::ReadComplete(sched::IoRequest* req, Status status) {
     // callback can issue a new IO that reuses the slot.
     sim_->Schedule(return_cost, [this, req, status] {
       auto cb = std::move(req->done);
-      const DurationNs hint = req->predicted_wait;
+      const Status delivered = status.busy() ? Status::Ebusy(req->predicted_wait) : status;
       pool_.Release(req);
-      cb(status, hint);
+      cb(delivered);
     });
   } else {
     pool_.Release(req);
@@ -272,9 +261,7 @@ void Os::SubmitDeviceWrite(const WriteArgs& args, std::function<void(Status)> do
   req->io_class = args.io_class;
   req->priority = args.priority;
   req->trace.node = options_.node_label;  // Untraced, but labelled for metrics.
-  if (done) {
-    req->done = [cb = std::move(done)](Status s, DurationNs) { cb(s); };
-  }
+  req->done = std::move(done);
   req->on_complete = [this](const sched::IoRequest& r, Status status) {
     WriteComplete(const_cast<sched::IoRequest*>(&r), status);
   };
@@ -286,7 +273,7 @@ void Os::WriteComplete(sched::IoRequest* req, Status status) {
     sim_->Schedule(options_.syscall_overhead / 2, [this, req, status] {
       auto cb = std::move(req->done);
       pool_.Release(req);
-      cb(status, 0);
+      cb(status);
     });
   } else {
     pool_.Release(req);
@@ -374,8 +361,7 @@ void Os::MmapAccess(uint64_t file, int64_t offset, int64_t size, int32_t pid,
   // Page fault: a blocking device read with no deadline (no syscall is
   // involved, so the OS cannot signal EBUSY, §4.4).
   SubmitDeviceRead(file, offset, size, sched::kNoDeadline, pid, sched::IoClass::kBestEffort, 4,
-                   /*fill_cache=*/true, /*trace=*/{},
-                   [done = std::move(done)](Status s, DurationNs) { done(s); });
+                   /*fill_cache=*/true, /*trace=*/{}, std::move(done));
 }
 
 void Os::Prefault(uint64_t file, int64_t offset, int64_t size) {

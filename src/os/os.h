@@ -102,16 +102,14 @@ class Os {
     bool bypass_cache = false;  // O_DIRECT-style; used by noise tenants.
     obs::TraceContext trace;    // Originating client request (id 0: untraced).
   };
-  void Read(const ReadArgs& args, std::function<void(Status)> done);
-
-  // §7.8.1 / §8.1 extension: like Read, but EBUSY responses carry the
-  // predictor's wait estimate, so the application can route to the
-  // least-busy replica when every replica rejects ("extending the MittOS
-  // interface to return the expected wait time, with which MongoDB can
-  // choose the shortest wait time when all replicas return EBUSY").
-  // Move-only; captures up to 48 bytes without allocating (InlineFunction).
-  using RichReadFn = sched::IoDoneFn;
-  void ReadWithWaitHint(const ReadArgs& args, RichReadFn done);
+  // Replies with data (kOk) or EBUSY. §7.8.1 / §8.1 extension: an EBUSY
+  // carries the predictor's wait estimate as Status::wait_hint(), so the
+  // application can route to the least-busy replica when every replica
+  // rejects ("extending the MittOS interface to return the expected wait
+  // time, with which MongoDB can choose the shortest wait time when all
+  // replicas return EBUSY"). `done` is move-only and captures up to 48 bytes
+  // without allocating (InlineFunction); a null or empty one is allowed.
+  void Read(const ReadArgs& args, sched::IoDoneFn done);
 
   // --- Write syscall: buffered by default, sync hits the device ---
   struct WriteArgs {
@@ -159,7 +157,7 @@ class Os {
  private:
   void SubmitDeviceRead(uint64_t file, int64_t offset, int64_t size, DurationNs deadline,
                         int32_t pid, sched::IoClass io_class, int8_t priority, bool fill_cache,
-                        obs::TraceContext trace, RichReadFn done);
+                        obs::TraceContext trace, sched::IoDoneFn done);
   void SubmitDeviceWrite(const WriteArgs& args, std::function<void(Status)> done);
   // Scheduler completion for a device read/write: page-cache fill, syscall
   // accounting, and the return-path delivery event. The descriptor stays

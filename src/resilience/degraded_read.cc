@@ -30,7 +30,7 @@ void DegradedReadLoop::Serve(uint64_t key, DurationNs deadline, obs::TraceContex
     if (m != nullptr) {
       m->counter("resilience_shed_total", node_id_).Add();
     }
-    handler_([reply = std::move(reply), shed_hint] { reply(Status::Unavailable(), shed_hint); });
+    handler_([reply = std::move(reply), shed_hint] { reply(Status::Unavailable(shed_hint)); });
     return;
   }
   if (tr != nullptr && tr->enabled()) {
@@ -54,20 +54,20 @@ void DegradedReadLoop::Attempt(uint64_t key, DurationNs deadline, int attempt,
                                obs::TraceContext trace, ReplyFn reply) {
   max_deadline_ = std::max(max_deadline_, deadline);
   read_(key, deadline, trace,
-        [this, key, deadline, attempt, trace, reply = std::move(reply)](
-            Status s, DurationNs hint) mutable {
+        [this, key, deadline, attempt, trace, reply = std::move(reply)](Status s) mutable {
           if (!s.busy() || attempt + 1 >= options_.max_attempts) {
             // Done (success, or attempts exhausted — surface the last status;
             // the escalation reaches the cap long before the attempt limit,
             // so exhaustion means a real outage).
             gate_.Release();
-            handler_([reply = std::move(reply), s, hint] { reply(s, hint); });
+            handler_([reply = std::move(reply), s] { reply(s); });
             return;
           }
           // EBUSY: the predictor says the queue needs ~hint to drain. Wait it
           // out with the admission slot held (the "queue server-side behind
           // the gate" part), then re-issue with an escalated, still bounded
           // deadline.
+          const DurationNs hint = s.wait_hint();
           const DurationNs next =
               std::min(std::max(deadline * 2, hint + deadline), options_.deadline_cap);
           const DurationNs wait = std::max<DurationNs>(hint, Micros(50));

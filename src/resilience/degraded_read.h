@@ -33,8 +33,8 @@ struct DegradedReadOptions {
 
 class DegradedReadLoop {
  public:
-  // Status plus the predicted wait (meaningful on EBUSY and on a shed).
-  using ReplyFn = std::function<void(Status, DurationNs wait_hint)>;
+  // An EBUSY or a shed carries the predicted wait as Status::wait_hint().
+  using ReplyFn = std::function<void(Status)>;
   // One read attempt of `key` bounded by `deadline`.
   using ReadFn =
       std::function<void(uint64_t key, DurationNs deadline, obs::TraceContext trace, ReplyFn done)>;

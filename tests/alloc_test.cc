@@ -66,7 +66,7 @@ struct Stream {
     a.pid = pid;
     a.deadline = deadline;
     a.bypass_cache = bypass;
-    o->ReadWithWaitHint(a, [this](Status, DurationNs) { Done(); });
+    o->Read(a, [this](Status) { Done(); });
   }
   void Done() {
     ++*total;

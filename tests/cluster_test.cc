@@ -195,6 +195,44 @@ TEST_F(DocStoreNodeTest, ReadPathPropagatesDeadline) {
   EXPECT_LT(done, kMillisecond);
 }
 
+// HandleGet's EBUSY carries the Os::Read wait hint: the same read issued
+// straight to the node's OS at the same instant reports the same hint.
+TEST_F(DocStoreNodeTest, BusyGetCarriesTheOsWaitHint) {
+  kv::DocStoreNode::Options opt = SmallNodeOptions();
+  opt.access = kv::AccessPath::kRead;
+  kv::DocStoreNode node(&sim_, 0, opt);
+  const uint64_t noise_file = node.os().CreateFile(50LL << 30);
+  for (int i = 0; i < 40; ++i) {
+    os::Os::ReadArgs args;
+    args.file = noise_file;
+    args.offset = static_cast<int64_t>(i) << 30;
+    args.size = 1 << 20;
+    args.pid = 99;
+    args.bypass_cache = true;
+    node.os().Read(args, nullptr);
+  }
+  Status via_node = Status::Internal();
+  node.HandleGet(7, Millis(15), [&](Status s) { via_node = s; });
+  // The handler burst runs before the node's read reaches the OS; issue the
+  // direct read at that instant, with the node's pid and file offset.
+  Status via_os = Status::Internal();
+  sim_.Schedule(opt.handler_cpu / 2, [&] {
+    os::Os::ReadArgs args;
+    args.file = node.data_file();
+    args.offset = 7 * opt.slot_size;
+    args.size = opt.doc_size;
+    args.deadline = Millis(15);
+    args.pid = opt.server_pid;
+    node.os().Read(args, [&](Status s) { via_os = s; });
+  });
+  sim_.RunUntilPredicate([&] { return via_node.code() != StatusCode::kInternal; });
+  sim_.RunUntilPredicate([&] { return via_os.code() != StatusCode::kInternal; });
+  ASSERT_TRUE(via_os.busy());
+  ASSERT_TRUE(via_node.busy());
+  EXPECT_GT(via_os.wait_hint(), Millis(15));
+  EXPECT_EQ(via_node.wait_hint(), via_os.wait_hint());
+}
+
 TEST_F(DocStoreNodeTest, ExceptionPathCostsMore) {
   auto run = [&](bool exceptions) {
     sim::Simulator sim;

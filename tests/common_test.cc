@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -40,6 +41,19 @@ TEST(StatusTest, Basics) {
   EXPECT_EQ(Status::Ebusy().name(), "EBUSY");
   EXPECT_EQ(Status::NotFound().name(), "NOT_FOUND");
   EXPECT_EQ(Status(), Status::Ok());
+}
+
+TEST(StatusTest, WaitHintIsPayloadNotIdentity) {
+  const Status busy = Status::Ebusy(Millis(7));
+  EXPECT_TRUE(busy.busy());
+  EXPECT_EQ(busy.wait_hint(), Millis(7));
+  EXPECT_EQ(busy, Status::Ebusy());  // operator== compares codes only.
+  EXPECT_EQ(Status::Ebusy().wait_hint(), 0);
+  EXPECT_EQ(Status::Unavailable(Micros(90)).wait_hint(), Micros(90));
+  EXPECT_EQ(Status::Unavailable(Micros(90)), Status::Unavailable());
+  EXPECT_EQ(Status::Ok().wait_hint(), 0);
+  EXPECT_EQ(Status(StatusCode::kTimeout).wait_hint(), 0);
+  EXPECT_FALSE(Status::Ebusy(Millis(7)) == Status::Unavailable(Millis(7)));
 }
 
 TEST(RngTest, Deterministic) {
@@ -264,6 +278,15 @@ TEST(InlineFunctionTest, MoveOnlyCapture) {
   // std::function could not hold this lambda at all (target must be copyable).
   InlineFunction<int()> moved = std::move(fn);
   EXPECT_EQ(moved(), 42);
+}
+
+TEST(InlineFunctionTest, EmptyStdFunctionStaysEmpty) {
+  std::function<int()> empty_std;
+  InlineFunction<int()> from_std = empty_std;
+  EXPECT_FALSE(static_cast<bool>(from_std));
+  InlineFunction<int()> engaged = std::function<int()>([] { return 3; });
+  ASSERT_TRUE(static_cast<bool>(engaged));
+  EXPECT_EQ(engaged(), 3);
 }
 
 TEST(InlineFunctionTest, OversizedCaptureFallsBackToHeap) {

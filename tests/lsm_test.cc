@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/kv/ring_coordinator.h"
@@ -10,11 +13,27 @@
 #include "src/lsm/lsm_tree.h"
 #include "src/lsm/memtable.h"
 #include "src/lsm/sstable.h"
+#include "src/common/rng.h"
 #include "src/noise/noise_injector.h"
 #include "src/sim/simulator.h"
 
 namespace mitt::lsm {
 namespace {
+
+// Queues 40 x 1 MB bypass-cache reads on `node_os`: hundreds of ms of
+// backlog, so every bounded read behind it sees EBUSY.
+void Saturate(os::Os& node_os) {
+  const uint64_t noise_file = node_os.CreateFile(100LL << 30);
+  for (int i = 0; i < 40; ++i) {
+    os::Os::ReadArgs args;
+    args.file = noise_file;
+    args.offset = static_cast<int64_t>(i) << 30;
+    args.size = 1 << 20;
+    args.pid = 99;
+    args.bypass_cache = true;
+    node_os.Read(args, nullptr);
+  }
+}
 
 TEST(BloomFilterTest, NoFalseNegatives) {
   BloomFilter bloom(1000);
@@ -172,17 +191,7 @@ TEST_F(LsmTreeTest, EbusyPropagatesFromReadPath) {
   std::vector<uint64_t> keys(5000);
   std::iota(keys.begin(), keys.end(), 0);
   tree.BulkLoad(keys);
-  // Saturate the disk.
-  const uint64_t noise_file = os_->CreateFile(100LL << 30);
-  for (int i = 0; i < 40; ++i) {
-    os::Os::ReadArgs args;
-    args.file = noise_file;
-    args.offset = static_cast<int64_t>(i) << 30;
-    args.size = 1 << 20;
-    args.pid = 99;
-    args.bypass_cache = true;
-    os_->Read(args, nullptr);
-  }
+  Saturate(*os_);
   Status status = Status::Internal();
   TimeNs done = -1;
   tree.Get(777, Millis(10), [&](Status s) {
@@ -239,17 +248,7 @@ TEST_F(RingTest, EbusyTriggersReplicaFailover) {
   Build(true);
   // Saturate the primary replica of key 123.
   const int primary = coordinator_->ReplicasOf(123)[0];
-  os::Os& primary_os = nodes_[static_cast<size_t>(primary)]->os();
-  const uint64_t noise_file = primary_os.CreateFile(100LL << 30);
-  for (int i = 0; i < 40; ++i) {
-    os::Os::ReadArgs args;
-    args.file = noise_file;
-    args.offset = static_cast<int64_t>(i) << 30;
-    args.size = 1 << 20;
-    args.pid = 99;
-    args.bypass_cache = true;
-    primary_os.Read(args, nullptr);
-  }
+  Saturate(nodes_[static_cast<size_t>(primary)]->os());
   Status status = Status::Internal();
   TimeNs done = -1;
   const TimeNs start = sim_.Now();
@@ -278,6 +277,120 @@ TEST_F(RingTest, PutReplicatesAndAcks) {
   for (auto& node : nodes_) {
     EXPECT_GT(node->lsm().memtable_entries(), 0u);
   }
+}
+
+// --- Ring+LSM stream pin ---
+//
+// A 3-node RingCoordinator over LsmNodes with overlapping 1 MB-read noise
+// episodes on every node: EBUSY propagates out of LevelDB's block reads, the
+// naive coordinator fails over (deadline disabled on the last try) and the
+// resilient one walks into the nodes' degraded path when every replica
+// rejects. Each get's (latency, status code, failovers so far) is folded into
+// an FNV-1a hash, so any change to EBUSY propagation, wait hints, event order
+// or failover decisions shows up as a changed string.
+
+uint64_t Fnv(uint64_t hash, uint64_t v) { return (hash ^ v) * 0x100000001b3ULL; }
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::string RingPinScorecard(bool resilience_enabled) {
+  sim::Simulator sim;
+  cluster::Network network(&sim, cluster::NetworkParams{}, 77);
+  std::vector<uint64_t> keys(20000);
+  std::iota(keys.begin(), keys.end(), 0);
+  std::vector<std::unique_ptr<LsmNode>> nodes;
+  std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors;
+  for (int i = 0; i < 3; ++i) {
+    LsmNode::Options opt;
+    opt.os.backend = os::BackendKind::kDiskCfq;
+    opt.os.cache.capacity_pages = 1 << 10;  // 4 MiB: most block reads miss.
+    opt.os.seed = 41 + static_cast<uint64_t>(i);
+    nodes.push_back(std::make_unique<LsmNode>(&sim, i, opt));
+    nodes.back()->lsm().BulkLoad(keys);
+    os::Os& node_os = nodes.back()->os();
+    const int64_t noise_size = 50LL << 30;
+    // Staggered episodes: one busy node at a time early on, all three busy
+    // together in the second episode.
+    const std::vector<noise::NoiseEpisode> schedule = {
+        {Millis(40 + 60 * i), Millis(120), 2},
+        {Millis(400), Millis(250), 2},
+    };
+    injectors.push_back(std::make_unique<noise::IoNoiseInjector>(
+        &sim, &node_os, node_os.CreateFile(noise_size), noise_size, schedule,
+        noise::IoNoiseInjector::Options{}, 0xAB0ULL + static_cast<uint64_t>(i)));
+    injectors.back()->Start();
+  }
+  kv::RingCoordinator::Options copt;
+  copt.deadline = Millis(13);
+  copt.resilience_enabled = resilience_enabled;
+  kv::RingCoordinator coordinator(
+      &sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network, copt);
+
+  constexpr int kGets = 300;
+  Rng rng(2024);
+  uint64_t hash = kFnvBasis;
+  int issued = 0;
+  int completed = 0;
+  std::function<void()> issue = [&] {
+    if (issued >= kGets) {
+      return;
+    }
+    ++issued;
+    const TimeNs start = sim.Now();
+    coordinator.Get(static_cast<uint64_t>(rng.UniformInt(0, 19999)), [&, start](Status s) {
+      hash = Fnv(hash, static_cast<uint64_t>(sim.Now() - start));
+      hash = Fnv(hash, static_cast<uint64_t>(s.code()));
+      hash = Fnv(hash, coordinator.failovers());
+      ++completed;
+      issue();
+    });
+  };
+  for (int c = 0; c < 4; ++c) {
+    issue();
+  }
+  sim.RunUntilPredicate([&] { return completed >= kGets; });
+
+  // Degraded leg: direct degraded reads on node 0 behind a fresh backlog,
+  // with deadlines under and over the device floor. The LSM loop's
+  // escalation and inter-attempt waits feed on the wait hint it reports.
+  Saturate(nodes[0]->os());
+  int degraded_done = 0;
+  const DurationNs deadlines[] = {Micros(1), Millis(2), Millis(13), sched::kNoDeadline};
+  for (const DurationNs d : deadlines) {
+    const TimeNs start = sim.Now();
+    nodes[0]->HandleDegradedGet(static_cast<uint64_t>(rng.UniformInt(0, 19999)), d,
+                                [&, start](Status s) {
+                                  hash = Fnv(hash, static_cast<uint64_t>(sim.Now() - start));
+                                  hash = Fnv(hash, static_cast<uint64_t>(s.code()));
+                                  ++degraded_done;
+                                });
+  }
+  sim.RunUntilPredicate([&] { return degraded_done == 4; });
+  hash = Fnv(hash, static_cast<uint64_t>(nodes[0]->degraded().max_deadline()));
+
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "gets=%d hash=%016llx failovers=%llu unbounded=%llu degraded=%llu sheds=%llu "
+                "sim_events=%llu",
+                completed, static_cast<unsigned long long>(hash),
+                static_cast<unsigned long long>(coordinator.failovers()),
+                static_cast<unsigned long long>(coordinator.unbounded_tries()),
+                static_cast<unsigned long long>(coordinator.degraded_gets()),
+                static_cast<unsigned long long>(coordinator.degraded_sheds_seen()),
+                static_cast<unsigned long long>(sim.executed_events()));
+  return buf;
+}
+
+TEST(RingPinTest, NaiveRingMatchesPinnedStream) {
+  EXPECT_EQ(RingPinScorecard(/*resilience_enabled=*/false),
+            "gets=300 hash=231a92c76ae8de69 failovers=121 unbounded=49 degraded=0 sheds=0 "
+            "sim_events=2713");
+}
+
+TEST(RingPinTest, ResilientRingMatchesPinnedStream) {
+  EXPECT_EQ(RingPinScorecard(/*resilience_enabled=*/true),
+            "gets=300 hash=49a4030fa7199d9a failovers=142 unbounded=0 degraded=37 sheds=0 "
+            "sim_events=2960");
 }
 
 }  // namespace

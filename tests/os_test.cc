@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -241,7 +243,7 @@ TEST_F(OsTest, SsdBackendReadAndReject) {
   EXPECT_LT(done_at, Millis(1));  // ~100us page read.
 }
 
-TEST_F(OsTest, ReadWithWaitHintReportsQueueDelay) {
+TEST_F(OsTest, ReadEbusyCarriesQueueDelayAsWaitHint) {
   Os os(&sim_, BaseOptions(BackendKind::kDiskCfq));
   const uint64_t file = os.CreateFile(100LL << 30);
   for (int i = 0; i < 40; ++i) {
@@ -262,9 +264,9 @@ TEST_F(OsTest, ReadWithWaitHintReportsQueueDelay) {
   args.deadline = Millis(20);
   args.pid = 1;
   bool got = false;
-  os.ReadWithWaitHint(args, [&](Status s, DurationNs h) {
+  os.Read(args, [&](Status s) {
     result = s;
-    hint = h;
+    hint = s.wait_hint();
     got = true;
   });
   sim_.RunUntilPredicate([&] { return got; });
@@ -303,9 +305,9 @@ TEST_F(OsTest, EbusyHintMatchesPredictorAndIsObservedOnce) {
   args.deadline = Millis(20);
   args.pid = 1;
   args.trace = {tracer.NewRequestId(), /*node=*/-1};
-  os.ReadWithWaitHint(args, [&](Status s, DurationNs h) {
+  os.Read(args, [&](Status s) {
     result = s;
-    hint = h;
+    hint = s.wait_hint();
     got = true;
   });
   sim_.RunUntilPredicate([&] { return got; });
@@ -327,6 +329,43 @@ TEST_F(OsTest, EbusyHintMatchesPredictorAndIsObservedOnce) {
   EXPECT_EQ(metrics.CounterValue("ebusy_total", -1), 1u);
 #endif
   sim_.Run();
+}
+
+// An empty std::function must behave like nullptr: the delivery events
+// are scheduled only for engaged callbacks, so an empty one turning into an
+// engaged InlineFunction would add events (and throw bad_function_call).
+TEST_F(OsTest, EmptyStdFunctionReadRunsLikeNullptr) {
+  auto run = [this](bool empty_std_function) {
+    sim::Simulator sim;
+    Os os(&sim, BaseOptions(BackendKind::kDiskCfq));
+    const uint64_t file = os.CreateFile(1LL << 30);
+    os.Prefault(file, 0, 1 << 20);
+    const uint64_t before = sim.executed_events();
+    // A cache hit, two device reads (the second with an SLO behind the
+    // first) and a reject at the device floor.
+    for (const auto& [offset, deadline] :
+         {std::pair<int64_t, DurationNs>{4096, sched::kNoDeadline},
+          {512LL << 20, sched::kNoDeadline},
+          {700LL << 20, Millis(2)},
+          {256LL << 20, Micros(1)}}) {
+      Os::ReadArgs args;
+      args.file = file;
+      args.offset = offset;
+      args.size = 4096;
+      args.deadline = deadline;
+      if (empty_std_function) {
+        os.Read(args, std::function<void(Status)>());
+      } else {
+        os.Read(args, nullptr);
+      }
+    }
+    sim.RunUntil(Seconds(1));
+    return sim.executed_events() - before;
+  };
+  uint64_t with_empty = 0;
+  EXPECT_NO_THROW(with_empty = run(/*empty_std_function=*/true));
+  EXPECT_EQ(with_empty, run(/*empty_std_function=*/false));
+  EXPECT_GT(with_empty, 0u);
 }
 
 TEST_F(OsTest, FileAllocationDoesNotOverlap) {

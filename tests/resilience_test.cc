@@ -143,11 +143,11 @@ TEST(DegradedReadLoopTest, EscalatesMaxOfDoubleAndHintPlusDeadlineUpToCap) {
           resilience::DegradedReadLoop::ReplyFn done) {
         const DurationNs hint = hints[attempts.size()];
         attempts.emplace_back(sim.Now(), deadline);
-        done(Status::Ebusy(), hint);
+        done(Status::Ebusy(hint));
       },
       [](InlineFunction<void()> fn) { fn(); });
   Status result = Status::Internal();
-  loop.Serve(1, Micros(500), {}, 0, [&](Status s, DurationNs) { result = s; });
+  loop.Serve(1, Micros(500), {}, 0, [&](Status s) { result = s; });
   sim.Run();
   // Deadlines: max(2d, hint + d) capped at 6 ms. Waits: max(hint, 50 us).
   const std::vector<std::pair<TimeNs, DurationNs>> expected = {
@@ -164,12 +164,12 @@ TEST(DegradedReadLoopTest, EscalatesMaxOfDoubleAndHintPlusDeadlineUpToCap) {
 
   // A disabled deadline starts at the cap; an underflowed one at 0.
   attempts.clear();
-  loop.Serve(2, sched::kNoDeadline, {}, 0, [](Status, DurationNs) {});
+  loop.Serve(2, sched::kNoDeadline, {}, 0, [](Status) {});
   sim.Run();
   ASSERT_FALSE(attempts.empty());
   EXPECT_EQ(attempts[0].second, Micros(6000));
   attempts.clear();
-  loop.Serve(3, -5, {}, 0, [](Status, DurationNs) {});
+  loop.Serve(3, -5, {}, 0, [](Status) {});
   sim.Run();
   ASSERT_FALSE(attempts.empty());
   EXPECT_EQ(attempts[0].second, 0);
@@ -222,11 +222,7 @@ class DegradedNodeTest : public ::testing::Test {
       *out = s;
       --pending_;
     };
-    if constexpr (std::is_same_v<Node, kv::DocStoreNode>) {
-      node_->HandleDegradedGet(key, deadline, [reply](Status s, DurationNs) { reply(s); });
-    } else {
-      node_->HandleDegradedGet(key, deadline, reply);
-    }
+    node_->HandleDegradedGet(key, deadline, reply);
     return out;
   }
 
