@@ -1,159 +1,100 @@
-// Figure 13 (§7.8.4): MittOS-powered LevelDB + Riak. A 3-node ring of LSM
-// nodes bulk-loaded with keys; EC2 disk noise replays on every node. The
-// coordinator attaches the deadline to LevelDB's block reads; EBUSY
-// propagates up and triggers replica failover.
-//   (a) get() latency CDF, MittCFQ (mitt ring) vs Base (vanilla ring);
-//   (b) timeline for one node: EBUSY is returned when (and only when) the
-//       node is under noise.
+// Figure 13 (§7.8.4): MittOS-powered LevelDB + Riak. A 3-node Riak ring of
+// LevelDB nodes (kv::AccessPath::kLsm), each bulk-loaded with 600k keys under
+// a 512 MB page cache; EC2 disk noise replays on every node. Vanilla Riak
+// (Base) waits out the noise; MittOS attaches a 13 ms deadline to LevelDB's
+// block reads, and EBUSY propagates up to the client, which fails over to
+// the next replica.
+//   (a) get() latency percentiles, MittCFQ (MittOS) vs Base;
+//   (b) node 0's timeline in 500 ms bins: whether it was under noise, and
+//       how many EBUSYs it returned (the MittOS run's kEbusyReject spans).
+//
+// Run:  ./build/bench/bench_fig13_riak
 
 #include <cstdio>
-#include <functional>
-#include <memory>
-#include <numeric>
+#include <string>
 #include <vector>
 
-#include "src/common/latency_recorder.h"
-#include "src/common/table.h"
-#include "src/kv/ring_coordinator.h"
-#include "src/lsm/lsm_node.h"
+#include "src/harness/experiment.h"
 #include "src/noise/ec2_noise.h"
-#include "src/noise/noise_injector.h"
-#include "src/sim/simulator.h"
-#include "src/workload/ycsb.h"
+#include "src/obs/gate.h"
 
 namespace {
 
 using namespace mitt;
 
-struct RiakRun {
-  LatencyRecorder latencies;
-  uint64_t failovers = 0;
-  // 500ms-bucketed timeline for node 0: (noise active?, EBUSYs returned).
-  std::vector<std::pair<bool, uint64_t>> timeline;
-};
-
-RiakRun RunRing(bool mitt_enabled, uint64_t seed) {
-  sim::Simulator sim;
-  cluster::Network network(&sim, cluster::NetworkParams{}, seed);
-
-  std::vector<std::unique_ptr<lsm::LsmNode>> nodes;
-  std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors;
-  std::vector<uint64_t> keys(600000);
-  std::iota(keys.begin(), keys.end(), 0);
-
-  noise::Ec2NoiseParams noise_params;
-  noise_params.mean_off = Millis(2500);
-  noise_params.min_on = Millis(100);
-  noise_params.max_on = Millis(800);
-  const noise::Ec2NoiseModel noise_model(noise_params, seed ^ 0xEC2);
-
-  for (int i = 0; i < 3; ++i) {
-    lsm::LsmNode::Options opt;
-    opt.os.backend = os::BackendKind::kDiskCfq;
-    opt.os.mitt_enabled = mitt_enabled;
-    opt.os.cache.capacity_pages = 1 << 17;  // 512 MB cache under a ~2.4 GB dataset.
-    opt.os.seed = seed ^ static_cast<uint64_t>(i);
-    nodes.push_back(std::make_unique<lsm::LsmNode>(&sim, i, opt));
-    nodes.back()->lsm().BulkLoad(keys);
-    os::Os& node_os = nodes.back()->os();
-    const int64_t noise_size = 150LL << 30;
-    const uint64_t noise_file = node_os.CreateFile(noise_size);
-    noise::IoNoiseInjector::Options nopt;
-    injectors.push_back(std::make_unique<noise::IoNoiseInjector>(
-        &sim, &node_os, noise_file, noise_size,
-        noise_model.GenerateSchedule(i, Seconds(120)), nopt,
-        seed ^ (0xAB0ULL + static_cast<uint64_t>(i))));
-    injectors.back()->Start();
-  }
-
-  kv::RingCoordinator::Options copt;
-  copt.deadline = Millis(13);
-  copt.mitt_enabled = mitt_enabled;
-  kv::RingCoordinator coordinator(
-      &sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network, copt);
-
-  workload::YcsbWorkload::Options wopt;
-  wopt.num_keys = keys.size();
-  wopt.seed = seed ^ 0xCAFE;
-  workload::YcsbWorkload ycsb(wopt);
-
-  RiakRun run;
-  size_t completed = 0;
-  size_t issued = 0;
-  constexpr size_t kTarget = 6000;
-  constexpr int kClients = 4;
-
-  // Timeline sampler: every 500ms, record whether node 0 had a noise episode
-  // overlapping the bucket (from the deterministic schedule) and how many
-  // EBUSYs it returned in the bucket.
-  const auto node0_schedule = noise_model.GenerateSchedule(0, Seconds(120));
-  auto bucket_noisy = [node0_schedule](TimeNs lo, TimeNs hi) {
-    for (const auto& ep : node0_schedule) {
-      if (ep.start < hi && ep.start + ep.duration > lo) {
-        return true;
-      }
-    }
-    return false;
-  };
-  auto sample = std::make_shared<std::function<void(uint64_t)>>();
-  *sample = [&, sample, bucket_noisy](uint64_t last_ebusy) {
-    if (completed >= kTarget) {
-      return;
-    }
-    const uint64_t now_ebusy = nodes[0]->ebusy_returned();
-    run.timeline.emplace_back(bucket_noisy(sim.Now() - Millis(500), sim.Now()),
-                              now_ebusy - last_ebusy);
-    sim.ScheduleDaemon(Millis(500), [sample, now_ebusy] { (*sample)(now_ebusy); });
-  };
-  sim.ScheduleDaemon(Millis(500), [sample] { (*sample)(0); });
-
-  auto issue = std::make_shared<std::function<void()>>();
-  *issue = [&, issue] {
-    if (issued >= kTarget) {
-      return;
-    }
-    ++issued;
-    const uint64_t key = ycsb.Next().key;
-    const TimeNs start = sim.Now();
-    coordinator.Get(key, [&, start](Status) {
-      run.latencies.Record(sim.Now() - start);
-      ++completed;
-      (*issue)();
-    });
-  };
-  for (int c = 0; c < kClients; ++c) {
-    (*issue)();
-  }
-  sim.RunUntilPredicate([&] { return completed >= kTarget; });
-  run.failovers = coordinator.failovers();
-  return run;
-}
+constexpr DurationNs kBin = Millis(500);
 
 }  // namespace
 
 int main() {
+  harness::ExperimentOptions opt;
+  opt.num_nodes = 3;
+  opt.num_clients = 4;
+  opt.measure_requests = 6000;
+  opt.warmup_requests = 0;
+  opt.num_keys_per_node = 600000;
+  opt.access = kv::AccessPath::kLsm;
+  opt.cache_pages = 1 << 17;  // 512 MB cache under ~600 MB of tables per node.
+  opt.noise = harness::NoiseKind::kEc2;
+  opt.ec2.mean_off = Millis(2500);
+  opt.ec2.min_on = Millis(100);
+  opt.ec2.max_on = Millis(800);
+  opt.deadline = Millis(13);
+  opt.seed = 1313;
+  harness::ExperimentOptions traced = opt;
+  traced.trace = true;
+
   std::printf("=== Figure 13: MittOS-powered LevelDB + Riak ===\n");
-  const RiakRun base = RunRing(false, 1313);
-  const RiakRun mitt = RunRing(true, 1313);
+  const std::vector<harness::RunResult> results = harness::RunTrialsParallel(
+      {{opt, harness::StrategyKind::kBase, ""},
+       {traced, harness::StrategyKind::kMittos, "MittCFQ"}});
+  const harness::RunResult& mitt = results[1];
 
   std::printf("\n--- Fig 13a: Riak get() latency percentiles ---\n");
-  Table table({"pct", "Base (ms)", "MittCFQ (ms)"});
-  for (const double p : {50.0, 90.0, 92.0, 94.0, 96.0, 98.0, 99.0}) {
-    table.AddRow({"p" + Table::Num(p, 0), Table::Num(ToMillis(base.latencies.Percentile(p)), 2),
-                  Table::Num(ToMillis(mitt.latencies.Percentile(p)), 2)});
-  }
-  table.Print();
-  std::printf("MittOS replica failovers: %lu\n", static_cast<unsigned long>(mitt.failovers));
+  harness::PrintPercentileTable(results, {50, 90, 92, 94, 96, 98, 99}, /*user_level=*/false);
+  std::printf("MittOS replica failovers: %lu\n",
+              static_cast<unsigned long>(mitt.ebusy_failovers));
 
   std::printf("\n--- Fig 13b: node-0 timeline (500ms buckets) ---\n");
-  std::printf("bucket: N = noise active, . = quiet; digit row = EBUSYs returned\n");
+  if (!MITT_OBS_ENABLED) {
+    std::printf("The timeline needs tracing (it counts EBUSY spans); this build compiles it "
+                "out (MITT_OBS_DISABLED).\n");
+    return 0;
+  }
+  const size_t bins = static_cast<size_t>((mitt.sim_duration + kBin - 1) / kBin);
+  std::vector<uint64_t> ebusy(bins, 0);
+  for (const obs::SpanRecord& span : mitt.trace_spans) {
+    if (span.kind == obs::SpanKind::kEbusyReject && span.node == 0) {
+      ++ebusy[static_cast<size_t>(span.begin / kBin)];
+    }
+  }
+  // The schedule Experiment's kEc2 noise replays on node 0.
+  const auto schedule = noise::Ec2NoiseModel(opt.ec2, opt.seed ^ 0xEC2)
+                            .GenerateSchedule(0, opt.noise_horizon);
   std::string noise_row;
   std::string ebusy_row;
-  for (const auto& [noisy, ebusy] : mitt.timeline) {
+  uint64_t noisy_ebusy = 0;
+  uint64_t quiet_ebusy = 0;
+  size_t noisy_bins = 0;
+  for (size_t b = 0; b < bins; ++b) {
+    const TimeNs lo = static_cast<TimeNs>(b) * kBin;
+    bool noisy = false;
+    for (const noise::NoiseEpisode& ep : schedule) {
+      noisy = noisy || (ep.start < lo + kBin && ep.start + ep.duration > lo);
+    }
     noise_row += noisy ? 'N' : '.';
-    ebusy_row += ebusy == 0 ? '0' : (ebusy < 10 ? static_cast<char>('0' + ebusy) : '+');
+    ebusy_row += ebusy[b] < 10 ? static_cast<char>('0' + ebusy[b]) : '+';
+    (noisy ? noisy_ebusy : quiet_ebusy) += ebusy[b];
+    noisy_bins += noisy ? 1 : 0;
   }
+  std::printf("bucket: N = noise active, . = quiet; digit row = EBUSYs returned\n");
   std::printf("noise: %s\nEBUSY: %s\n", noise_row.c_str(), ebusy_row.c_str());
+  const auto per_bin = [](uint64_t n, size_t d) {
+    return d == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(d);
+  };
+  std::printf("EBUSYs per bucket: noisy %.2f, quiet %.2f; trace spans %zu, dropped %lu\n",
+              per_bin(noisy_ebusy, noisy_bins), per_bin(quiet_ebusy, bins - noisy_bins),
+              mitt.trace_spans.size(), static_cast<unsigned long>(mitt.trace_dropped));
   std::printf("\nExpected: EBUSY bursts line up with noise episodes; stray EBUSYs in quiet\n"
               "buckets are self-load (several concurrent LSM block reads), which the\n"
               "predictor correctly reports as deadline-threatening busyness.\n");

@@ -1,19 +1,19 @@
 // The two-level integration of §5: a LevelDB-like LSM engine whose block
-// reads carry deadlines, under a Riak-like replicated coordinator that fails
-// over on EBUSY. Shows writes (WAL + memtable + flush + compaction) creating
-// the background noise, and SLO-aware reads cutting through it.
+// reads carry deadlines, under Riak-style replication that fails over on
+// EBUSY. The ring is a cluster::Cluster of kv::AccessPath::kLsm nodes and the
+// MittOS client strategy does the failover. Shows writes (WAL + memtable +
+// flush + compaction) creating the background noise, and SLO-aware reads
+// cutting through it.
 //
 // Run:  ./build/examples/slo_aware_lsm
 
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <numeric>
-#include <vector>
 
+#include "src/client/mittos_client.h"
+#include "src/cluster/cluster.h"
 #include "src/common/latency_recorder.h"
-#include "src/kv/ring_coordinator.h"
-#include "src/lsm/lsm_node.h"
 #include "src/sim/simulator.h"
 #include "src/workload/ycsb.h"
 
@@ -21,29 +21,48 @@ int main() {
   using namespace mitt;
 
   sim::Simulator sim;
-  cluster::Network network(&sim, cluster::NetworkParams{}, 3);
 
   // Three LSM nodes, bulk-loaded with 40k keys in L1.
-  std::vector<std::unique_ptr<lsm::LsmNode>> nodes;
-  std::vector<uint64_t> keys(40000);
-  std::iota(keys.begin(), keys.end(), 0);
-  for (int i = 0; i < 3; ++i) {
-    lsm::LsmNode::Options opt;
-    opt.os.mitt_enabled = true;
-    opt.lsm.memtable_flush_bytes = 1 << 20;  // Frequent flushes/compactions.
-    opt.lsm.l0_compaction_trigger = 3;
-    nodes.push_back(std::make_unique<lsm::LsmNode>(&sim, i, opt));
-    nodes.back()->lsm().BulkLoad(keys);
-  }
+  cluster::Cluster::Options copt;
+  copt.num_nodes = 3;
+  copt.seed = 3;
+  copt.node.access = kv::AccessPath::kLsm;
+  copt.node.num_keys = 40000;
+  copt.node.os.mitt_enabled = true;
+  // A small memtable, so the run's ~850 distinct (zipfian) put keys flush
+  // several L0 tables and start a compaction.
+  copt.node.lsm.memtable_flush_bytes = 256 << 10;
+  copt.node.lsm.l0_compaction_trigger = 3;
+  cluster::Cluster ring(&sim, copt);
 
-  kv::RingCoordinator::Options copt;
-  copt.deadline = Millis(13);
-  kv::RingCoordinator ring(&sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network,
-                           copt);
+  client::MittosStrategy::Options mopt;
+  mopt.deadline = Millis(13);
+  client::MittosStrategy mittos(&sim, &ring, /*seed=*/3, mopt);
+
+  // Riak w=1: a put goes to every replica and acks after the first reply.
+  struct PutState {
+    bool acked = false;
+    std::function<void()> ack;
+  };
+  auto put = [&ring](uint64_t key, std::function<void()> ack) {
+    auto state = std::make_shared<PutState>(PutState{false, std::move(ack)});
+    for (const int r : ring.ReplicasOf(key)) {
+      ring.network().DeliverToNode(r, [&ring, r, key, state] {
+        ring.node(r).HandlePut(key, [&ring, r, state](Status) {
+          ring.network().Deliver(r, [state] {
+            if (!state->acked) {
+              state->acked = true;
+              state->ack();
+            }
+          });
+        });
+      });
+    }
+  };
 
   // A mixed workload: 20% puts keep compaction churning, 80% SLO reads.
   workload::YcsbWorkload::Options wopt;
-  wopt.num_keys = keys.size();
+  wopt.num_keys = static_cast<uint64_t>(copt.node.num_keys);
   wopt.read_fraction = 0.8;
   workload::YcsbWorkload ycsb(wopt);
 
@@ -60,13 +79,13 @@ int main() {
     const auto op = ycsb.Next();
     if (op.is_read) {
       const TimeNs start = sim.Now();
-      ring.Get(op.key, [&, start](Status) {
+      mittos.Get(op.key, {}, [&, start](const client::GetResult&) {
         read_latencies.Record(sim.Now() - start);
         ++done;
         (*loop)();
       });
     } else {
-      ring.Put(op.key, [&](Status) {
+      put(op.key, [&] {
         ++done;
         (*loop)();
       });
@@ -76,6 +95,7 @@ int main() {
     (*loop)();
   }
   sim.RunUntilPredicate([&] { return done >= kOps; });
+  *loop = nullptr;  // Break the driver lambda's self-reference cycle.
 
   std::printf("SLO-aware LSM + ring replication, %zu ops (80%% reads, 13ms deadline):\n\n",
               kOps);
@@ -83,15 +103,15 @@ int main() {
               ToMillis(read_latencies.Percentile(50)), ToMillis(read_latencies.Percentile(95)),
               ToMillis(read_latencies.Percentile(99)));
   std::printf("  EBUSY replica failovers: %lu\n",
-              static_cast<unsigned long>(ring.failovers()));
-  for (int i = 0; i < 3; ++i) {
-    std::printf("  node %d: %lu flushes, %lu compactions, L0=%zu L1=%zu, EBUSY=%lu\n", i,
-                static_cast<unsigned long>(nodes[static_cast<size_t>(i)]->lsm().flushes_done()),
-                static_cast<unsigned long>(
-                    nodes[static_cast<size_t>(i)]->lsm().compactions_done()),
-                nodes[static_cast<size_t>(i)]->lsm().level_size(0),
-                nodes[static_cast<size_t>(i)]->lsm().level_size(1),
-                static_cast<unsigned long>(nodes[static_cast<size_t>(i)]->ebusy_returned()));
+              static_cast<unsigned long>(mittos.ebusy_failovers()));
+  for (int i = 0; i < ring.num_nodes(); ++i) {
+    kv::DocStoreNode& node = ring.node(i);
+    std::printf("  node %d: %lu flushes, %lu compactions%s, L0=%zu L1=%zu, EBUSY=%lu\n", i,
+                static_cast<unsigned long>(node.lsm().flushes_done()),
+                static_cast<unsigned long>(node.lsm().compactions_done()),
+                node.lsm().compaction_running() ? " (one running)" : "",
+                node.lsm().level_size(0), node.lsm().level_size(1),
+                static_cast<unsigned long>(node.ebusy_returned()));
   }
   return 0;
 }

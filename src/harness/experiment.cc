@@ -597,6 +597,16 @@ void Experiment::BuildNoise(cluster::Cluster& cluster,
 }
 
 RunResult Experiment::Run(StrategyKind kind) {
+  if (options_.access == kv::AccessPath::kLsm) {
+    // These act on the flat data file, which a kLsm node does not create:
+    // they would prefault or evict file id 0, the LSM's write-ahead log.
+    if (options_.warm_fraction > 0) {
+      throw std::invalid_argument("kLsm nodes have no data file to warm (warm_fraction)");
+    }
+    if (options_.noise == NoiseKind::kCacheDrop || options_.noise == NoiseKind::kStaticCacheDrop) {
+      throw std::invalid_argument("kLsm nodes have no data file to drop from the cache");
+    }
+  }
   // Every world runs on a ShardedEngine; paper-scale worlds resolve to one
   // shard, which steps its events exactly like a standalone Simulator.
   const int num_shards = ResolveShards(options_);
@@ -653,8 +663,8 @@ RunResult Experiment::Run(StrategyKind kind) {
   // own harvest sinks; clients are dealt round-robin onto shards and drive
   // their home shard's strategy only, so all driver state is shard-local.
   // Replies are routed back to the request's home shard (see
-  // client/strategy.cc and kv/ring_coordinator.cc), which makes every
-  // mutation below single-threaded within a window.
+  // client/strategy.cc), which makes every mutation below single-threaded
+  // within a window.
   struct ShardCtx {
     std::unique_ptr<client::GetStrategy> strategy;
     LatencyRecorder get_latencies;

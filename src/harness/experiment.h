@@ -2,7 +2,8 @@
 //
 // An Experiment describes one of the paper's evaluation setups: a cluster of
 // DocStore nodes on a chosen backend (disk+CFQ, disk+noop, SSD, or cache-
-// resident data), a noise regime (EC2 replay, continuous one-node noise,
+// resident data) and access path (MongoDB's mmap or read, or LevelDB under a
+// Riak ring), a noise regime (EC2 replay, continuous one-node noise,
 // cache drops, rotating contention, or macro workload mixes), and a YCSB
 // client population with a scale factor. Run(kind) builds a *fresh* world
 // with identical seeds for every strategy, so CDFs are comparable point by
@@ -86,6 +87,9 @@ struct ExperimentOptions {
 
   // Node / OS configuration.
   os::BackendKind backend = os::BackendKind::kDiskCfq;
+  // kLsm builds the §5 Riak world: LevelDB nodes, gets through the client
+  // strategies. It has no flat data file, so Run() throws
+  // std::invalid_argument for warm_fraction > 0 and the cache-drop noises.
   kv::AccessPath access = kv::AccessPath::kRead;
   size_t cache_pages = 1 << 17;  // 512 MB page cache.
   double warm_fraction = 0.0;

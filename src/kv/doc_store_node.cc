@@ -1,5 +1,6 @@
 #include "src/kv/doc_store_node.h"
 
+#include <numeric>
 #include <utility>
 
 namespace mitt::kv {
@@ -13,6 +14,21 @@ DocStoreNode::DocStoreNode(sim::Simulator* sim, int node_id, const Options& opti
           sim, node_id, options.degraded,
           [this](uint64_t key, DurationNs deadline, obs::TraceContext trace,
                  resilience::DegradedReadLoop::ReplyFn done) {
+            if (lsm_ != nullptr) {
+              // Every EBUSY of a LevelDB get reports the device floor as its
+              // wait hint, not the OS' predicted wait: the get walks several
+              // candidate tables and fails on whichever block read was
+              // rejected, so that one IO's queue estimate is not the get's
+              // wait. The floor makes the loop re-poll soon and escalate by
+              // doubling.
+              lsm_->Get(
+                  SlotOf(key), deadline,
+                  [this, done = std::move(done)](Status s) {
+                    done(s.busy() ? Status::Ebusy(os_->MinDeviceLatency()) : s);
+                  },
+                  trace);
+              return;
+            }
             os_->Read(ReadArgsOf(key, deadline, trace), std::move(done));
           },
           [this](InlineFunction<void()> fn) {
@@ -28,7 +44,15 @@ DocStoreNode::DocStoreNode(sim::Simulator* sim, int node_id, const Options& opti
     owned_cpu_ = std::make_unique<cluster::CpuPool>(sim_, options_.cpu_cores);
     cpu_ = owned_cpu_.get();
   }
-  data_file_ = os_->CreateFile(data_file_size());
+  if (options_.access == AccessPath::kLsm) {
+    // No flat data file: it would shift every LSM file's disk offset.
+    lsm_ = std::make_unique<lsm::LsmTree>(sim_, os_.get(), options_.lsm);
+    std::vector<uint64_t> keys(static_cast<size_t>(options_.num_keys));
+    std::iota(keys.begin(), keys.end(), 0);
+    lsm_->BulkLoad(keys);
+  } else {
+    data_file_ = os_->CreateFile(data_file_size());
+  }
   if (options_.tenant_slots > 0) {
     tenant_gets_.assign(options_.tenant_slots, 0);
     tenant_ebusy_.assign(options_.tenant_slots, 0);
@@ -86,6 +110,11 @@ void DocStoreNode::DoRead(uint64_t key, DurationNs deadline, std::function<void(
     cpu_->Execute(cost, [reply, status] { reply(status); });
   };
 
+  if (lsm_ != nullptr) {
+    lsm_->Get(SlotOf(key), deadline, std::move(finish), trace);
+    return;
+  }
+
   if (options_.access == AccessPath::kMmapAddrCheck) {
     const auto check = os_->AddrCheck(data_file_, offset, options_.doc_size, deadline, trace);
     if (check.status.busy()) {
@@ -124,14 +153,19 @@ void DocStoreNode::HandleDegradedGet(uint64_t key, DurationNs deadline,
 
 void DocStoreNode::HandlePut(uint64_t key, std::function<void(Status)> reply) {
   cpu_->Execute(options_.handler_cpu / 2, [this, key, reply = std::move(reply)] {
+    auto ack = [this, reply](Status s) {
+      cpu_->Execute(options_.handler_cpu / 2, [reply, s] { reply(s); });
+    };
+    if (lsm_ != nullptr) {
+      lsm_->Put(SlotOf(key), std::move(ack));
+      return;
+    }
     os::Os::WriteArgs args;
     args.file = data_file_;
     args.offset = OffsetOfKey(key);
     args.size = options_.doc_size;
     args.pid = options_.server_pid;
-    os_->Write(args, [this, reply](Status s) {
-      cpu_->Execute(options_.handler_cpu / 2, [reply, s] { reply(s); });
-    });
+    os_->Write(args, std::move(ack));
   });
 }
 

@@ -1,14 +1,19 @@
-// DocStoreNode: one MongoDB-like storage server (§5).
+// DocStoreNode: one replicated storage server (§5), MongoDB-like or LevelDB.
 //
-// A node stores `num_keys` fixed-size documents in one data file on its own
-// OS instance. Reads follow one of two access paths, matching the paper's two
-// MongoDB modifications:
+// A node stores `num_keys` documents on its own OS instance. Reads follow one
+// of three access paths: the paper's two MongoDB modifications, which keep
+// fixed-size documents in one flat data file, and its LevelDB integration
+// (the storage under Riak):
 //
 //   * kMmapAddrCheck — MongoDB's default mmap() data access, guarded by the
 //     new addrcheck() syscall (82 ns) before dereferencing; EBUSY fails over
 //     without waiting while the OS swaps the page in, in the background.
 //   * kRead — the read(..., deadline) syscall; the deadline propagates into
 //     the IO scheduler, where MittNoop/MittCFQ/MittSSD accept or reject.
+//   * kLsm — an lsm::LsmTree bulk-loaded with keys [0, num_keys) instead of
+//     the flat file: a get walks the candidate tables and each data-block
+//     read carries the deadline, so EBUSY propagates out of LevelDB to the
+//     replication layer (§5, §7.8.4). Puts go through the WAL and memtable.
 //
 // Every request costs handler CPU on the node's CpuPool (Fig. 8's contention
 // lives here), and EBUSY handling is "exceptionless" by default — the paper
@@ -25,6 +30,7 @@
 
 #include "src/cluster/cpu_pool.h"
 #include "src/common/status.h"
+#include "src/lsm/lsm_tree.h"
 #include "src/obs/trace.h"
 #include "src/os/os.h"
 #include "src/resilience/degraded_read.h"
@@ -35,6 +41,7 @@ namespace mitt::kv {
 enum class AccessPath {
   kMmapAddrCheck,
   kRead,
+  kLsm,
 };
 
 class DocStoreNode {
@@ -44,6 +51,7 @@ class DocStoreNode {
     int64_t doc_size = 1024;   // 1 KB documents (YCSB workloads, §7).
     int64_t slot_size = 4096;  // One page per document slot.
     AccessPath access = AccessPath::kRead;
+    lsm::LsmTree::Options lsm;  // kLsm only.
     int cpu_cores = 8;
     DurationNs handler_cpu = Micros(30);   // Parse + dispatch + reply.
     DurationNs exception_cost = Micros(200);
@@ -90,10 +98,12 @@ class DocStoreNode {
   void HandleDegradedGet(uint64_t key, DurationNs deadline, std::function<void(Status)> reply,
                          obs::TraceContext trace = {});
 
-  // Serves one put() — buffered write (§7.8.6).
+  // Serves one put() — buffered write (§7.8.6); under kLsm a WAL append plus
+  // memtable insert.
   void HandlePut(uint64_t key, std::function<void(Status)> reply);
 
-  // Pre-loads a fraction of the documents into the OS cache.
+  // Pre-loads a fraction of the documents into the OS cache (flat data file
+  // only: kLsm has none).
   void WarmCache(double fraction);
 
   // --- Fault hooks (src/fault/) ---
@@ -114,9 +124,11 @@ class DocStoreNode {
   os::Os& os() { return *os_; }
   cluster::CpuPool& cpu() { return *cpu_; }
   bool owns_cpu() const { return owned_cpu_ != nullptr; }
+  // The flat data file (kMmapAddrCheck, kRead); kLsm creates none.
   uint64_t data_file() const { return data_file_; }
   int64_t data_file_size() const { return options_.num_keys * options_.slot_size; }
   const Options& options() const { return options_; }
+  lsm::LsmTree& lsm() { return *lsm_; }  // kLsm only.
   uint64_t gets_served() const { return gets_served_; }
   uint64_t ebusy_returned() const { return ebusy_returned_; }
   // Per-tenant cumulative counters (empty unless Options::tenant_slots > 0);
@@ -127,9 +139,9 @@ class DocStoreNode {
   const resilience::DegradedReadLoop& degraded() const { return degraded_; }
 
  private:
+  uint64_t SlotOf(uint64_t key) const { return key % static_cast<uint64_t>(options_.num_keys); }
   int64_t OffsetOfKey(uint64_t key) const {
-    return static_cast<int64_t>(key % static_cast<uint64_t>(options_.num_keys)) *
-           options_.slot_size;
+    return static_cast<int64_t>(SlotOf(key)) * options_.slot_size;
   }
 
   void DoRead(uint64_t key, DurationNs deadline, std::function<void(Status)> reply,
@@ -143,6 +155,7 @@ class DocStoreNode {
   std::unique_ptr<cluster::CpuPool> owned_cpu_;
   cluster::CpuPool* cpu_ = nullptr;
   uint64_t data_file_ = 0;
+  std::unique_ptr<lsm::LsmTree> lsm_;
   uint64_t gets_served_ = 0;
   uint64_t ebusy_returned_ = 0;
   std::vector<uint64_t> tenant_gets_;

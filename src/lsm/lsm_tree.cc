@@ -171,7 +171,8 @@ size_t LsmTree::level_size(int level) const {
   return levels_[static_cast<size_t>(level)].size();
 }
 
-void LsmTree::Get(uint64_t key, DurationNs deadline, std::function<void(Status)> done) {
+void LsmTree::Get(uint64_t key, DurationNs deadline, std::function<void(Status)> done,
+                  obs::TraceContext trace) {
   if (memtable_.Contains(key)) {
     done(Status::Ok());  // Served from memory; cost is negligible vs the net.
     return;
@@ -188,10 +189,10 @@ void LsmTree::Get(uint64_t key, DurationNs deadline, std::function<void(Status)>
       candidates->push_back(table);
     }
   }
-  GetFromTables(key, deadline, std::move(candidates), 0, std::move(done));
+  GetFromTables(key, deadline, trace, std::move(candidates), 0, std::move(done));
 }
 
-void LsmTree::GetFromTables(uint64_t key, DurationNs deadline,
+void LsmTree::GetFromTables(uint64_t key, DurationNs deadline, obs::TraceContext trace,
                             std::shared_ptr<std::vector<std::shared_ptr<SsTable>>> candidates,
                             size_t idx, std::function<void(Status)> done) {
   if (idx >= candidates->size()) {
@@ -202,7 +203,7 @@ void LsmTree::GetFromTables(uint64_t key, DurationNs deadline,
   int64_t block_offset = 0;
   if (!table->Lookup(key, &block_offset)) {
     // Bloom false positive; try the next candidate without IO.
-    GetFromTables(key, deadline, std::move(candidates), idx + 1, std::move(done));
+    GetFromTables(key, deadline, trace, std::move(candidates), idx + 1, std::move(done));
     return;
   }
   os::Os::ReadArgs r;
@@ -211,6 +212,7 @@ void LsmTree::GetFromTables(uint64_t key, DurationNs deadline,
   r.size = options_.block_size;
   r.deadline = deadline;
   r.pid = options_.server_pid;
+  r.trace = trace;
   os_->Read(r, [done = std::move(done)](Status s) {
     // Either the block read succeeded (key found) or MittOS rejected it; both
     // terminate the lookup (an EBUSY must propagate to the replication layer,

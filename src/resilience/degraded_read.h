@@ -1,5 +1,5 @@
-// Server side of the degraded (all-replicas-busy) read, shared by every
-// storage node (kv::DocStoreNode, lsm::LsmNode).
+// Server side of the degraded (all-replicas-busy) read of a storage node
+// (kv::DocStoreNode, on every access path).
 //
 // A degraded read first passes the node's AdmissionGate. Over capacity it is
 // shed: kUnavailable (+ wait hint) after one handler burst, as fast as an

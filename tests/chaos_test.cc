@@ -28,6 +28,7 @@ using chaos::Violation;
 using fault::FaultEpisode;
 using fault::FaultKind;
 using fault::FaultPlan;
+using harness::StrategyKind;
 
 FaultPlan SamplePlan() {
   return fault::FaultPlanBuilder()
@@ -360,6 +361,31 @@ TEST(ChaosTrialTest, FingerprintBitIdenticalAcrossWorkerGrid) {
   for (const auto& [tw, iw] : std::vector<std::pair<int, int>>{{4, 1}, {1, 2}, {4, 2}}) {
     const chaos::TrialOutcome other = chaos::RunChaosTrial(world, plan, tw, iw);
     EXPECT_EQ(other.fingerprint, base.fingerprint) << "trial=" << tw << " intra=" << iw;
+  }
+}
+
+// The oracle battery on the §5 Riak world: the chaos world's recipe with
+// LevelDB nodes (kLsm), a node pause and link drops, over every strategy.
+TEST(ChaosTrialTest, LsmWorldHasNoViolations) {
+  const ChaosWorldOptions world;
+  fault::FaultPlanBuilder b;
+  b.NodePause(/*node=*/0, Millis(80), Millis(60));
+  b.NetworkDrop(/*node=*/1, Millis(150), Millis(250), 0.3);
+  b.NetworkDrop(/*node=*/0, Millis(300), Millis(200), 0.2);
+  harness::ExperimentOptions opt = chaos::MakeExperimentOptions(world, b.Build());
+  opt.access = kv::AccessPath::kLsm;
+  for (const StrategyKind kind :
+       {StrategyKind::kBase, StrategyKind::kAppTimeout, StrategyKind::kClone,
+        StrategyKind::kHedged, StrategyKind::kSnitch, StrategyKind::kC3, StrategyKind::kMittos,
+        StrategyKind::kMittosWait, StrategyKind::kMittosResilient}) {
+    const harness::RunResult r = harness::Experiment(opt).Run(kind);
+    EXPECT_GT(r.fault_episodes, 0u) << r.name;
+    std::vector<Violation> violations;
+    chaos::CheckOracles(r, kind == StrategyKind::kMittosResilient, /*tenants=*/false,
+                        &violations);
+    for (const Violation& v : violations) {
+      ADD_FAILURE() << "[" << v.oracle << "] " << v.strategy << ": " << v.detail;
+    }
   }
 }
 

@@ -442,5 +442,96 @@ TEST(StrategyPinTest, TenantReplayTwoShardsMatchesPinnedStreams) {
   }
 }
 
+// The §5 Riak world through the harness: a kLsm ring (LevelDB nodes) with
+// every node noisy, so EBUSY propagates out of the LSM's block reads into
+// every strategy's failover, hedge, timeout and degraded paths.
+TEST(StrategyPinTest, LsmClosedLoopOneShardMatchesPinnedStreams) {
+  ExperimentOptions opt = PinOptions();
+  opt.access = kv::AccessPath::kLsm;
+  opt.measure_requests = 120;
+  opt.noise = NoiseKind::kContinuous;
+  opt.continuous_all_nodes = true;
+  opt.hedge_delay = Millis(13);
+  opt.app_timeout = Millis(13);
+  const char* const kPins[] = {
+      "gets=120 lat_hash=1836f3bf927e8d06 p99=53521970 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 "
+      "sim_events=2558 sim_duration=2280820451",
+      "gets=120 lat_hash=21555a501227b28e p99=81867258 failovers=0 hedges=0 timeouts=299 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 "
+      "sim_events=5386 sim_duration=3556118036",
+      "gets=120 lat_hash=186e484d7eead270 p99=52545264 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 "
+      "sim_events=3333 sim_duration=2278529192",
+      "gets=120 lat_hash=ec85605b4edb882b p99=58165589 failovers=0 hedges=150 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 "
+      "sim_events=3572 sim_duration=2400116488",
+      "gets=120 lat_hash=27b38087e0317f24 p99=56561105 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 "
+      "sim_events=2599 sim_duration=2301246776",
+      "gets=120 lat_hash=fce5ec99d74c896c p99=53367855 failovers=0 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 "
+      "sim_events=2510 sim_duration=2223487724",
+      "gets=120 lat_hash=4b762dba6258a362 p99=56444208 failovers=302 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 "
+      "sim_events=4034 sim_duration=2234741143",
+      "gets=120 lat_hash=0d06fce67804bd83 p99=55357993 failovers=451 hedges=0 timeouts=0 "
+      "errors=0 degraded=0 sheds=0 tenant=0 migrations=0 hot_ticks=0 "
+      "sim_events=4736 sim_duration=2182857713",
+      "gets=120 lat_hash=33953e23bb4fbba2 p99=52989069 failovers=450 hedges=0 timeouts=0 "
+      "errors=0 degraded=150 sheds=0 tenant=0 migrations=0 hot_ticks=0 "
+      "sim_events=4707 sim_duration=2151220453",
+  };
+  for (size_t i = 0; i < std::size(kAllStrategies); ++i) {
+    EXPECT_EQ(StrategyScorecard(RunPinned(opt, kAllStrategies[i])), kPins[i])
+        << StrategyKindName(kAllStrategies[i]);
+  }
+}
+
+// LevelDB's block reads join the client's trace: a traced kLsm run records
+// its EBUSY rejects under client request ids and node labels, and tracing
+// leaves the simulated stream unchanged.
+TEST(LsmTraceTest, EbusySpansCarryClientRequestIds) {
+  ExperimentOptions opt = PinOptions();
+  opt.access = kv::AccessPath::kLsm;
+  opt.noise = NoiseKind::kContinuous;
+  opt.pin_primary_node = 0;
+  opt.measure_requests = 120;
+  const RunResult untraced = RunPinned(opt, StrategyKind::kMittos);
+  opt.trace = true;
+  const RunResult traced = RunPinned(opt, StrategyKind::kMittos);
+  EXPECT_EQ(PinScorecard(traced), PinScorecard(untraced));
+  EXPECT_GT(untraced.ebusy_failovers, 0u);
+#if MITT_OBS_ENABLED
+  EXPECT_EQ(traced.trace_dropped, 0u);
+  size_t rejects = 0;
+  for (const obs::SpanRecord& s : traced.trace_spans) {
+    if (s.kind == obs::SpanKind::kEbusyReject) {
+      ++rejects;
+      EXPECT_NE(s.request_id, 0u);
+      EXPECT_EQ(s.node, 0);  // The pinned, noisy primary.
+    }
+  }
+  EXPECT_EQ(rejects, traced.ebusy_failovers);
+#endif
+}
+
+// warm_fraction and the cache-drop noises act on the flat data file, which
+// a kLsm node does not have.
+TEST(ExperimentTest, LsmRejectsFlatFileOptions) {
+  ExperimentOptions opt = PinOptions();
+  opt.access = kv::AccessPath::kLsm;
+  opt.noise = NoiseKind::kNone;
+  ExperimentOptions warm = opt;
+  warm.warm_fraction = 0.5;
+  EXPECT_THROW(Experiment(warm).Run(StrategyKind::kBase), std::invalid_argument);
+  ExperimentOptions drop = opt;
+  drop.noise = NoiseKind::kCacheDrop;
+  EXPECT_THROW(Experiment(drop).Run(StrategyKind::kBase), std::invalid_argument);
+  ExperimentOptions static_drop = opt;
+  static_drop.noise = NoiseKind::kStaticCacheDrop;
+  EXPECT_THROW(Experiment(static_drop).Run(StrategyKind::kBase), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mitt::harness

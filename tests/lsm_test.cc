@@ -7,9 +7,10 @@
 #include <string>
 #include <vector>
 
-#include "src/kv/ring_coordinator.h"
+#include "src/client/mittos_client.h"
+#include "src/client/resilient.h"
+#include "src/cluster/cluster.h"
 #include "src/lsm/bloom.h"
-#include "src/lsm/lsm_node.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/lsm/memtable.h"
 #include "src/lsm/sstable.h"
@@ -203,111 +204,113 @@ TEST_F(LsmTreeTest, EbusyPropagatesFromReadPath) {
   EXPECT_LT(done, kMillisecond);  // Fast rejection, no queueing.
 }
 
+// --- Riak ring over LevelDB ---
+//
+// A ring is a cluster::Cluster of kv::AccessPath::kLsm nodes; the client
+// strategies do the replication: MittOS is the naive coordinator (failover on
+// EBUSY, deadline disabled on the last try), MittOS+res the resilient one.
+
+cluster::Cluster::Options LsmRingOptions(uint64_t seed) {
+  cluster::Cluster::Options copt;
+  copt.num_nodes = 3;
+  copt.seed = seed;
+  copt.node.access = kv::AccessPath::kLsm;
+  copt.node.num_keys = 20000;
+  copt.node.os.backend = os::BackendKind::kDiskCfq;
+  copt.node.os.mitt_enabled = true;
+  return copt;
+}
+
 class RingTest : public ::testing::Test {
  protected:
-  void Build(bool mitt_enabled) {
-    network_ = std::make_unique<cluster::Network>(&sim_, cluster::NetworkParams{}, 5);
-    std::vector<uint64_t> keys(20000);
-    std::iota(keys.begin(), keys.end(), 0);
-    for (int i = 0; i < 3; ++i) {
-      LsmNode::Options opt;
-      opt.os.backend = os::BackendKind::kDiskCfq;
-      opt.os.mitt_enabled = mitt_enabled;
-      nodes_.push_back(std::make_unique<LsmNode>(&sim_, i, opt));
-      nodes_.back()->lsm().BulkLoad(keys);
-    }
-    kv::RingCoordinator::Options copt;
-    copt.deadline = Millis(12);
-    copt.mitt_enabled = mitt_enabled;
-    coordinator_ = std::make_unique<kv::RingCoordinator>(
-        &sim_,
-        std::vector<LsmNode*>{nodes_[0].get(), nodes_[1].get(), nodes_[2].get()},
-        network_.get(), copt);
+  void Build() {
+    cluster_ = std::make_unique<cluster::Cluster>(&sim_, LsmRingOptions(5));
+    client::MittosStrategy::Options mopt;
+    mopt.deadline = Millis(12);
+    mittos_ = std::make_unique<client::MittosStrategy>(&sim_, cluster_.get(), 5, mopt);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<cluster::Network> network_;
-  std::vector<std::unique_ptr<LsmNode>> nodes_;
-  std::unique_ptr<kv::RingCoordinator> coordinator_;
+  std::unique_ptr<cluster::Cluster> cluster_;
+  std::unique_ptr<client::MittosStrategy> mittos_;
 };
 
 TEST_F(RingTest, GetSucceedsQuietCluster) {
-  Build(true);
+  Build();
   Status status = Status::Internal();
   TimeNs done = -1;
-  coordinator_->Get(123, [&](Status s) {
-    status = s;
+  mittos_->Get(123, {}, [&](const client::GetResult& r) {
+    status = r.status;
     done = sim_.Now();
   });
   sim_.RunUntilPredicate([&] { return done >= 0; });
   EXPECT_TRUE(status.ok());
-  EXPECT_EQ(coordinator_->failovers(), 0u);
+  EXPECT_EQ(mittos_->ebusy_failovers(), 0u);
 }
 
 TEST_F(RingTest, EbusyTriggersReplicaFailover) {
-  Build(true);
+  Build();
   // Saturate the primary replica of key 123.
-  const int primary = coordinator_->ReplicasOf(123)[0];
-  Saturate(nodes_[static_cast<size_t>(primary)]->os());
+  const int primary = cluster_->ReplicasOf(123)[0];
+  Saturate(cluster_->node(primary).os());
   Status status = Status::Internal();
   TimeNs done = -1;
   const TimeNs start = sim_.Now();
-  coordinator_->Get(123, [&](Status s) {
-    status = s;
+  mittos_->Get(123, {}, [&](const client::GetResult& r) {
+    status = r.status;
     done = sim_.Now();
   });
   sim_.RunUntilPredicate([&] { return done >= 0; });
   EXPECT_TRUE(status.ok());
-  EXPECT_GE(coordinator_->failovers(), 1u);
+  EXPECT_GE(mittos_->ebusy_failovers(), 1u);
   EXPECT_LT(done - start, Millis(15));  // No waiting on the busy primary.
 }
 
 TEST_F(RingTest, PutReplicatesAndAcks) {
-  Build(true);
+  Build();
+  // Riak w=1: the put goes to every replica; the first ack answers it.
   Status status = Status::Internal();
   TimeNs done = -1;
-  coordinator_->Put(55, [&](Status s) {
-    status = s;
-    done = sim_.Now();
-  });
+  for (const int r : cluster_->ReplicasOf(55)) {
+    cluster_->node(r).HandlePut(55, [&](Status s) {
+      if (done < 0) {
+        status = s;
+        done = sim_.Now();
+      }
+    });
+  }
   sim_.RunUntilPredicate([&] { return done >= 0; });
   EXPECT_TRUE(status.ok());
   EXPECT_LT(done, Millis(2));  // WAL hits NVRAM; buffered ack.
   sim_.Run();
-  for (auto& node : nodes_) {
-    EXPECT_GT(node->lsm().memtable_entries(), 0u);
+  for (int i = 0; i < cluster_->num_nodes(); ++i) {
+    EXPECT_GT(cluster_->node(i).lsm().memtable_entries(), 0u);
   }
 }
 
 // --- Ring+LSM stream pin ---
 //
-// A 3-node RingCoordinator over LsmNodes with overlapping 1 MB-read noise
-// episodes on every node: EBUSY propagates out of LevelDB's block reads, the
-// naive coordinator fails over (deadline disabled on the last try) and the
-// resilient one walks into the nodes' degraded path when every replica
-// rejects. Each get's (latency, status code, failovers so far) is folded into
-// an FNV-1a hash, so any change to EBUSY propagation, wait hints, event order
-// or failover decisions shows up as a changed string.
+// A 3-node kLsm ring with overlapping 1 MB-read noise episodes on every node:
+// EBUSY propagates out of LevelDB's block reads, MittOS fails over (deadline
+// disabled on the last try) and MittOS+res walks into the nodes' degraded
+// path when every replica rejects. Each get's (latency, status code,
+// failovers so far) is folded into an FNV-1a hash, so any change to EBUSY
+// propagation, wait hints, event order or failover decisions shows up as a
+// changed string.
 
 uint64_t Fnv(uint64_t hash, uint64_t v) { return (hash ^ v) * 0x100000001b3ULL; }
 
 constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
-std::string RingPinScorecard(bool resilience_enabled) {
+std::string RingPinScorecard(bool resilient) {
   sim::Simulator sim;
-  cluster::Network network(&sim, cluster::NetworkParams{}, 77);
-  std::vector<uint64_t> keys(20000);
-  std::iota(keys.begin(), keys.end(), 0);
-  std::vector<std::unique_ptr<LsmNode>> nodes;
+  cluster::Cluster::Options copt = LsmRingOptions(77);
+  copt.node.os.cache.capacity_pages = 1 << 10;  // 4 MiB: most block reads miss.
+  copt.node.os.seed = 41;
+  cluster::Cluster ring(&sim, copt);
   std::vector<std::unique_ptr<noise::IoNoiseInjector>> injectors;
-  for (int i = 0; i < 3; ++i) {
-    LsmNode::Options opt;
-    opt.os.backend = os::BackendKind::kDiskCfq;
-    opt.os.cache.capacity_pages = 1 << 10;  // 4 MiB: most block reads miss.
-    opt.os.seed = 41 + static_cast<uint64_t>(i);
-    nodes.push_back(std::make_unique<LsmNode>(&sim, i, opt));
-    nodes.back()->lsm().BulkLoad(keys);
-    os::Os& node_os = nodes.back()->os();
+  for (int i = 0; i < ring.num_nodes(); ++i) {
+    os::Os& node_os = ring.node(i).os();
     const int64_t noise_size = 50LL << 30;
     // Staggered episodes: one busy node at a time early on, all three busy
     // together in the second episode.
@@ -320,11 +323,17 @@ std::string RingPinScorecard(bool resilience_enabled) {
         noise::IoNoiseInjector::Options{}, 0xAB0ULL + static_cast<uint64_t>(i)));
     injectors.back()->Start();
   }
-  kv::RingCoordinator::Options copt;
-  copt.deadline = Millis(13);
-  copt.resilience_enabled = resilience_enabled;
-  kv::RingCoordinator coordinator(
-      &sim, {nodes[0].get(), nodes[1].get(), nodes[2].get()}, &network, copt);
+  client::MittosStrategy::Options mopt;
+  mopt.deadline = Millis(13);
+  client::MittosStrategy mittos(&sim, &ring, 77, mopt);
+  client::ResilientOptions ropt;
+  ropt.deadline = Millis(13);
+  client::ResilientMittosStrategy mittos_res(&sim, &ring, 77, ropt);
+  client::GetStrategy& strategy =
+      resilient ? static_cast<client::GetStrategy&>(mittos_res) : mittos;
+  const auto failovers = [&] {
+    return resilient ? mittos_res.ebusy_failovers() : mittos.ebusy_failovers();
+  };
 
   constexpr int kGets = 300;
   Rng rng(2024);
@@ -337,60 +346,75 @@ std::string RingPinScorecard(bool resilience_enabled) {
     }
     ++issued;
     const TimeNs start = sim.Now();
-    coordinator.Get(static_cast<uint64_t>(rng.UniformInt(0, 19999)), [&, start](Status s) {
-      hash = Fnv(hash, static_cast<uint64_t>(sim.Now() - start));
-      hash = Fnv(hash, static_cast<uint64_t>(s.code()));
-      hash = Fnv(hash, coordinator.failovers());
-      ++completed;
-      issue();
-    });
+    strategy.Get(static_cast<uint64_t>(rng.UniformInt(0, 19999)), {},
+                 [&, start](const client::GetResult& r) {
+                   hash = Fnv(hash, static_cast<uint64_t>(sim.Now() - start));
+                   hash = Fnv(hash, static_cast<uint64_t>(r.status.code()));
+                   hash = Fnv(hash, failovers());
+                   ++completed;
+                   issue();
+                 });
   };
   for (int c = 0; c < 4; ++c) {
     issue();
   }
   sim.RunUntilPredicate([&] { return completed >= kGets; });
 
-  // Degraded leg: direct degraded reads on node 0 behind a fresh backlog,
-  // with deadlines under and over the device floor. The LSM loop's
-  // escalation and inter-attempt waits feed on the wait hint it reports.
-  Saturate(nodes[0]->os());
-  int degraded_done = 0;
-  const DurationNs deadlines[] = {Micros(1), Millis(2), Millis(13), sched::kNoDeadline};
-  for (const DurationNs d : deadlines) {
-    const TimeNs start = sim.Now();
-    nodes[0]->HandleDegradedGet(static_cast<uint64_t>(rng.UniformInt(0, 19999)), d,
-                                [&, start](Status s) {
-                                  hash = Fnv(hash, static_cast<uint64_t>(sim.Now() - start));
-                                  hash = Fnv(hash, static_cast<uint64_t>(s.code()));
-                                  ++degraded_done;
-                                });
-  }
-  sim.RunUntilPredicate([&] { return degraded_done == 4; });
-  hash = Fnv(hash, static_cast<uint64_t>(nodes[0]->degraded().max_deadline()));
-
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "gets=%d hash=%016llx failovers=%llu unbounded=%llu degraded=%llu sheds=%llu "
                 "sim_events=%llu",
                 completed, static_cast<unsigned long long>(hash),
-                static_cast<unsigned long long>(coordinator.failovers()),
-                static_cast<unsigned long long>(coordinator.unbounded_tries()),
-                static_cast<unsigned long long>(coordinator.degraded_gets()),
-                static_cast<unsigned long long>(coordinator.degraded_sheds_seen()),
+                static_cast<unsigned long long>(failovers()),
+                static_cast<unsigned long long>(mittos.unbounded_tries()),
+                static_cast<unsigned long long>(mittos_res.degraded_gets()),
+                static_cast<unsigned long long>(mittos_res.degraded_sheds_seen()),
                 static_cast<unsigned long long>(sim.executed_events()));
   return buf;
 }
 
 TEST(RingPinTest, NaiveRingMatchesPinnedStream) {
-  EXPECT_EQ(RingPinScorecard(/*resilience_enabled=*/false),
-            "gets=300 hash=231a92c76ae8de69 failovers=121 unbounded=49 degraded=0 sheds=0 "
-            "sim_events=2713");
+  EXPECT_EQ(RingPinScorecard(/*resilient=*/false),
+            "gets=300 hash=9adf4b3c5c84f2e3 failovers=140 unbounded=52 degraded=0 sheds=0 "
+            "sim_events=2738");
 }
 
 TEST(RingPinTest, ResilientRingMatchesPinnedStream) {
-  EXPECT_EQ(RingPinScorecard(/*resilience_enabled=*/true),
-            "gets=300 hash=49a4030fa7199d9a failovers=142 unbounded=0 degraded=37 sheds=0 "
-            "sim_events=2960");
+  EXPECT_EQ(RingPinScorecard(/*resilient=*/true),
+            "gets=300 hash=e2cb83b215729a8b failovers=142 unbounded=0 degraded=38 sheds=0 "
+            "sim_events=2816");
+}
+
+// The degraded leg on one kLsm node: direct degraded reads behind a backlog,
+// with deadlines under and over the device floor. The loop's escalation and
+// inter-attempt waits feed on the wait hint a LevelDB get reports (the
+// device floor, see DocStoreNode's degraded hook).
+TEST(RingPinTest, DegradedLegMatchesPinnedStream) {
+  sim::Simulator sim;
+  kv::DocStoreNode::Options opt = LsmRingOptions(77).node;
+  opt.os.cache.capacity_pages = 1 << 10;
+  opt.os.seed = 41;
+  kv::DocStoreNode node(&sim, 0, opt);
+  Saturate(node.os());
+  Rng rng(2024);
+  uint64_t hash = kFnvBasis;
+  int done = 0;
+  for (const DurationNs d : {Micros(1), Millis(2), Millis(13), sched::kNoDeadline}) {
+    const TimeNs start = sim.Now();
+    node.HandleDegradedGet(static_cast<uint64_t>(rng.UniformInt(0, 19999)), d,
+                           [&, start](Status s) {
+                             hash = Fnv(hash, static_cast<uint64_t>(sim.Now() - start));
+                             hash = Fnv(hash, static_cast<uint64_t>(s.code()));
+                             ++done;
+                           });
+  }
+  sim.RunUntilPredicate([&] { return done == 4; });
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "hash=%016llx max_deadline=%lld sim_events=%llu",
+                static_cast<unsigned long long>(hash),
+                static_cast<long long>(node.degraded().max_deadline()),
+                static_cast<unsigned long long>(sim.executed_events()));
+  EXPECT_STREQ(buf, "hash=b7c09fb4b2680043 max_deadline=2000000000 sim_events=71");
 }
 
 }  // namespace

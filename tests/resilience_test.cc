@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <ostream>
 #include <numeric>
 #include <tuple>
 #include <type_traits>
@@ -22,8 +23,6 @@
 #include "src/fault/fault_plan.h"
 #include "src/harness/scenario_runner.h"
 #include "src/kv/doc_store_node.h"
-#include "src/kv/ring_coordinator.h"
-#include "src/lsm/lsm_node.h"
 #include "src/noise/noise_injector.h"
 #include "src/obs/export.h"
 #include "src/resilience/admission_gate.h"
@@ -34,6 +33,15 @@
 #include "src/sim/simulator.h"
 
 namespace mitt {
+namespace kv {
+
+// Names the parameter of the access-path tests (ctest lists it by name).
+void PrintTo(AccessPath access, std::ostream* os) {
+  *os << (access == AccessPath::kLsm ? "kLsm" : "kRead");
+}
+
+}  // namespace kv
+
 namespace {
 
 // ---------------------------------------------------------- DeadlineBudget
@@ -191,26 +199,20 @@ void SaturateOs(os::Os& os) {
   }
 }
 
-// The shared loop as each storage node runs it, on a real saturated node.
-template <typename Node>
-class DegradedNodeTest : public ::testing::Test {
+// The shared loop as each storage node runs it, on a real saturated node:
+// the flat data file (kRead) and LevelDB (kLsm).
+class DegradedNodeTest : public ::testing::TestWithParam<kv::AccessPath> {
  protected:
   void Build(int max_attempts, DurationNs cap, int max_inflight = 8) {
-    typename Node::Options opt;
+    kv::DocStoreNode::Options opt;
+    opt.access = GetParam();
+    opt.num_keys = GetParam() == kv::AccessPath::kLsm ? 20000 : 1 << 14;
     opt.os.backend = os::BackendKind::kDiskCfq;
     opt.os.mitt_enabled = true;
     opt.degraded.admission.max_inflight = max_inflight;
     opt.degraded.max_attempts = max_attempts;
     opt.degraded.deadline_cap = cap;
-    if constexpr (std::is_same_v<Node, kv::DocStoreNode>) {
-      opt.num_keys = 1 << 14;
-      node_ = std::make_unique<Node>(&sim_, 0, opt);
-    } else {
-      node_ = std::make_unique<Node>(&sim_, 0, opt);
-      std::vector<uint64_t> keys(20000);
-      std::iota(keys.begin(), keys.end(), 0);
-      node_->lsm().BulkLoad(keys);
-    }
+    node_ = std::make_unique<kv::DocStoreNode>(&sim_, 0, opt);
   }
 
   // Issues one degraded read; the returned slot holds its status once the
@@ -234,70 +236,70 @@ class DegradedNodeTest : public ::testing::Test {
   const resilience::DegradedReadLoop& loop() const { return node_->degraded(); }
 
   sim::Simulator sim_;
-  std::unique_ptr<Node> node_;
+  std::unique_ptr<kv::DocStoreNode> node_;
   std::deque<Status> replies_;
   int pending_ = 0;
 };
 
-using StorageNodes = ::testing::Types<kv::DocStoreNode, lsm::LsmNode>;
-TYPED_TEST_SUITE(DegradedNodeTest, StorageNodes);
+INSTANTIATE_TEST_SUITE_P(Access, DegradedNodeTest,
+                         ::testing::Values(kv::AccessPath::kRead, kv::AccessPath::kLsm));
 
-TYPED_TEST(DegradedNodeTest, FirstEscalationIsHintPlusDeadline) {
-  this->Build(/*max_attempts=*/2, Seconds(2));
-  SaturateOs(this->node_->os());
-  const Status* status = this->Read(7, Micros(1));
-  this->RunUntilReplied();
+TEST_P(DegradedNodeTest, FirstEscalationIsHintPlusDeadline) {
+  Build(/*max_attempts=*/2, Seconds(2));
+  SaturateOs(node_->os());
+  const Status* status = Read(7, Micros(1));
+  RunUntilReplied();
   EXPECT_TRUE(status->busy());  // Both attempts rejected: exhaustion surfaces EBUSY.
   // Attempt 0 asks for 1 us, under the device floor: EBUSY with the floor as
   // its hint, so attempt 1 asks for max(2 us, floor + 1 us).
-  const DurationNs floor = this->node_->os().MinDeviceLatency();
-  EXPECT_EQ(this->loop().max_deadline(), std::max(2 * Micros(1), floor + Micros(1)));
-  EXPECT_EQ(this->loop().gate().inflight(), 0);
+  const DurationNs floor = node_->os().MinDeviceLatency();
+  EXPECT_EQ(loop().max_deadline(), std::max(2 * Micros(1), floor + Micros(1)));
+  EXPECT_EQ(loop().gate().inflight(), 0);
 }
 
-TYPED_TEST(DegradedNodeTest, EscalationStopsAtCapAndNeverDisables) {
-  this->Build(/*max_attempts=*/10, Millis(3));
-  SaturateOs(this->node_->os());
-  const Status* escalated = this->Read(7, Micros(1));
-  const Status* disabled = this->Read(8, sched::kNoDeadline);
-  this->RunUntilReplied();
-  // DocStoreNode waits out each predicted wait, so its reads complete once
-  // the backlog drains; LsmNode waits only the device floor and exhausts.
+TEST_P(DegradedNodeTest, EscalationStopsAtCapAndNeverDisables) {
+  Build(/*max_attempts=*/10, Millis(3));
+  SaturateOs(node_->os());
+  const Status* escalated = Read(7, Micros(1));
+  const Status* disabled = Read(8, sched::kNoDeadline);
+  RunUntilReplied();
+  // A kRead node waits out each predicted wait, so its reads complete once
+  // the backlog drains; a kLsm node waits only the device floor and exhausts.
   // Either way neither read was shed, and no deadline passed the cap —
   // kNoDeadline included.
   EXPECT_NE(escalated->code(), StatusCode::kUnavailable);
   EXPECT_NE(disabled->code(), StatusCode::kUnavailable);
-  EXPECT_EQ(this->loop().max_deadline(), Millis(3));
-  EXPECT_EQ(this->loop().gate().inflight(), 0);
+  EXPECT_EQ(loop().max_deadline(), Millis(3));
+  EXPECT_EQ(loop().gate().inflight(), 0);
 }
 
-TYPED_TEST(DegradedNodeTest, ShedsPastMaxInflightAndReadmitsAfterRelease) {
-  this->Build(/*max_attempts=*/3, Millis(2), /*max_inflight=*/2);
-  SaturateOs(this->node_->os());
-  const Status* a = this->Read(1, Micros(1));
-  const Status* b = this->Read(2, Micros(1));
-  const Status* shed = this->Read(3, Micros(1));
-  this->RunUntilReplied();
+TEST_P(DegradedNodeTest, ShedsPastMaxInflightAndReadmitsAfterRelease) {
+  Build(/*max_attempts=*/3, Millis(2), /*max_inflight=*/2);
+  SaturateOs(node_->os());
+  const Status* a = Read(1, Micros(1));
+  const Status* b = Read(2, Micros(1));
+  const Status* shed = Read(3, Micros(1));
+  RunUntilReplied();
   EXPECT_EQ(shed->code(), StatusCode::kUnavailable);
   EXPECT_NE(a->code(), StatusCode::kUnavailable);
   EXPECT_NE(b->code(), StatusCode::kUnavailable);
-  EXPECT_EQ(this->loop().gate().admits(), 2u);
-  EXPECT_EQ(this->loop().gate().sheds(), 1u);
-  EXPECT_EQ(this->loop().gate().inflight(), 0);
+  EXPECT_EQ(loop().gate().admits(), 2u);
+  EXPECT_EQ(loop().gate().sheds(), 1u);
+  EXPECT_EQ(loop().gate().inflight(), 0);
 
   // Freed slots admit a second batch once the backlog drains, and the slots
   // that batch frees on completion admit a third.
-  this->sim_.RunUntil(this->sim_.Now() + Seconds(5));
+  sim_.RunUntil(sim_.Now() + Seconds(5));
   for (int batch = 0; batch < 2; ++batch) {
-    const Status* c = this->Read(10 + 2 * batch, Millis(500));
-    const Status* d = this->Read(11 + 2 * batch, Millis(500));
-    this->RunUntilReplied();
+    const Status* c = Read(10 + 2 * batch, Millis(500));
+    const Status* d = Read(11 + 2 * batch, Millis(500));
+    RunUntilReplied();
     EXPECT_TRUE(c->ok()) << batch;
     EXPECT_TRUE(d->ok()) << batch;
-    EXPECT_EQ(this->loop().gate().inflight(), 0);
+    EXPECT_EQ(loop().gate().inflight(), 0);
   }
-  EXPECT_EQ(this->loop().gate().admits(), 6u);
-  EXPECT_EQ(this->loop().gate().sheds(), 1u);
+  EXPECT_EQ(loop().gate().admits(), 6u);
+  EXPECT_EQ(loop().gate().sheds(), 1u);
 }
 
 // ----------------------------------------------------- ReplicaHealthTracker
@@ -570,98 +572,98 @@ TEST_F(ResilientClientTest, ExhaustedBudgetSurfacesStatusWhenDegradationDisabled
   EXPECT_GE(res.deadline_exhausted(), 1u);
 }
 
-// ---------------------------------------------- Ring coordinator, all-EBUSY
+// ---------------------------------------------- Riak ring over LevelDB, all-EBUSY
 
+// A 3-node kLsm ring (Riak over LevelDB, §5) with the client strategies as
+// its coordinator: MittOS the naive one, MittOS+res the resilient one.
 class RingResilienceTest : public ::testing::Test {
  protected:
-  void Build(bool resilience_enabled) {
-    network_ = std::make_unique<cluster::Network>(&sim_, cluster::NetworkParams{}, 5);
-    std::vector<uint64_t> keys(20000);
-    for (uint64_t i = 0; i < keys.size(); ++i) {
-      keys[i] = i;
-    }
-    for (int i = 0; i < 3; ++i) {
-      lsm::LsmNode::Options opt;
-      opt.os.backend = os::BackendKind::kDiskCfq;
-      opt.os.mitt_enabled = true;
-      nodes_.push_back(std::make_unique<lsm::LsmNode>(&sim_, i, opt));
-      nodes_.back()->lsm().BulkLoad(keys);
-    }
-    kv::RingCoordinator::Options copt;
-    copt.deadline = Millis(12);
-    copt.mitt_enabled = true;
-    copt.resilience_enabled = resilience_enabled;
-    coordinator_ = std::make_unique<kv::RingCoordinator>(
-        &sim_,
-        std::vector<lsm::LsmNode*>{nodes_[0].get(), nodes_[1].get(), nodes_[2].get()},
-        network_.get(), copt);
+  void Build() {
+    cluster::Cluster::Options copt;
+    copt.num_nodes = 3;
+    copt.seed = 5;
+    copt.node.access = kv::AccessPath::kLsm;
+    copt.node.num_keys = 20000;
+    copt.node.os.backend = os::BackendKind::kDiskCfq;
+    copt.node.os.mitt_enabled = true;
+    cluster_ = std::make_unique<cluster::Cluster>(&sim_, copt);
   }
 
   void SaturateAllNodes() {
-    for (auto& node : nodes_) {
-      SaturateOs(node->os());
+    for (int i = 0; i < cluster_->num_nodes(); ++i) {
+      SaturateOs(cluster_->node(i).os());
     }
   }
 
-  Status RunOneGet(uint64_t key) {
+  Status RunOneGet(client::GetStrategy& strategy, uint64_t key) {
     Status status = Status::Internal();
     TimeNs done = -1;
-    coordinator_->Get(key, [&](Status s) {
-      status = s;
+    strategy.Get(key, {}, [&](const client::GetResult& r) {
+      status = r.status;
       done = sim_.Now();
     });
     sim_.RunUntilPredicate([&] { return done >= 0; });
     return status;
   }
 
+  static client::ResilientOptions ResilientRingOptions() {
+    client::ResilientOptions opt;
+    opt.deadline = Millis(12);
+    return opt;
+  }
+
   sim::Simulator sim_;
-  std::unique_ptr<cluster::Network> network_;
-  std::vector<std::unique_ptr<lsm::LsmNode>> nodes_;
-  std::unique_ptr<kv::RingCoordinator> coordinator_;
+  std::unique_ptr<cluster::Cluster> cluster_;
 };
 
 TEST_F(RingResilienceTest, NaiveAllEbusyDisablesDeadlineOnLastTry) {
-  Build(/*resilience_enabled=*/false);
+  Build();
+  client::MittosStrategy::Options mopt;
+  mopt.deadline = Millis(12);
+  client::MittosStrategy mittos(&sim_, cluster_.get(), 5, mopt);
   SaturateAllNodes();
-  const Status status = RunOneGet(123);
+  const Status status = RunOneGet(mittos, 123);
   EXPECT_TRUE(status.ok());  // Completes, but only by dropping the SLO.
-  EXPECT_GE(coordinator_->failovers(), 2u);
-  EXPECT_GE(coordinator_->unbounded_tries(), 1u);  // The behaviour under audit.
+  EXPECT_GE(mittos.ebusy_failovers(), 2u);
+  EXPECT_GE(mittos.unbounded_tries(), 1u);  // The behaviour under audit.
 }
 
 TEST_F(RingResilienceTest, ResilientAllEbusyCompletesWithBoundedDeadlines) {
-  Build(/*resilience_enabled=*/true);
+  Build();
+  client::ResilientMittosStrategy res(&sim_, cluster_.get(), 5, ResilientRingOptions());
   SaturateAllNodes();
-  const Status status = RunOneGet(123);
+  const Status status = RunOneGet(res, 123);
   EXPECT_TRUE(status.ok());  // 0 user-visible errors in the all-busy world.
-  EXPECT_EQ(coordinator_->unbounded_tries(), 0u);
-  EXPECT_GE(coordinator_->degraded_gets(), 1u);
-  EXPECT_GE(coordinator_->max_sent_deadline(), 0);
-  EXPECT_LE(coordinator_->max_sent_deadline(), Seconds(2));
+  EXPECT_GE(res.degraded_gets(), 1u);
+  EXPECT_GE(res.max_sent_deadline(), 0);
+  EXPECT_LE(res.max_sent_deadline(), Seconds(2));
 }
 
 TEST_F(RingResilienceTest, ResilientQuietClusterStaysOnFastPath) {
-  Build(true);
-  const Status status = RunOneGet(123);
+  Build();
+  client::ResilientMittosStrategy res(&sim_, cluster_.get(), 5, ResilientRingOptions());
+  const Status status = RunOneGet(res, 123);
   EXPECT_TRUE(status.ok());
-  EXPECT_EQ(coordinator_->failovers(), 0u);
-  EXPECT_EQ(coordinator_->degraded_gets(), 0u);
+  EXPECT_EQ(res.ebusy_failovers(), 0u);
+  EXPECT_EQ(res.degraded_gets(), 0u);
 }
 
 // ---------------------------------------------- Done-exactly-once property
 
-// Satellite (b): every GetStrategy must call done exactly once per get, under
-// EBUSY races, timeout/backoff races, drop-retransmit races, and the degraded
-// path. ~1000 seeded get-shuffles across the strategy set.
+// Every GetStrategy must call done exactly once per get, under EBUSY races,
+// timeout/backoff races, drop-retransmit races, and the degraded path.
+// ~1000 seeded get-shuffles across the strategy set, per access path: the
+// flat data file (kRead) and a Riak ring over LevelDB (kLsm).
 class DoneOncePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
-  const uint64_t seed = GetParam();
+void CheckDoneOnce(uint64_t seed, kv::AccessPath access) {
+  SCOPED_TRACE(access == kv::AccessPath::kLsm ? "kLsm" : "kRead");
   Rng rng(seed);
   sim::Simulator sim;
   cluster::Cluster::Options copt;
   copt.num_nodes = 3;
   copt.node.num_keys = 1 << 16;
+  copt.node.access = access;
   copt.node.os.backend = os::BackendKind::kDiskCfq;
   copt.node.os.mitt_enabled = true;
   copt.seed = seed;
@@ -723,6 +725,12 @@ TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
   ASSERT_EQ(calls.size(), strategies.size() * kGetsPerStrategy);
   for (size_t i = 0; i < calls.size(); ++i) {
     EXPECT_EQ(calls[i], 1) << "get " << i << " seed " << seed;
+  }
+}
+
+TEST_P(DoneOncePropertyTest, EveryStrategyCallsDoneExactlyOnce) {
+  for (const kv::AccessPath access : {kv::AccessPath::kRead, kv::AccessPath::kLsm}) {
+    CheckDoneOnce(GetParam(), access);
   }
 }
 

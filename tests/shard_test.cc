@@ -529,6 +529,43 @@ TEST(ShardDeterminismTest, OneShardFaultAndControllerWorldIsExactlyOnceAndWorker
   EXPECT_EQ(card(OneShardFaultControllerRun(/*intra_workers=*/2)), card(r));
 }
 
+// ------------------------------------ 2-shard Riak-over-LevelDB world
+
+// The kLsm ring on two shards, every node noisy: each strategy's stream must
+// not depend on the worker count that drives the shard windows.
+TEST(ShardDeterminismTest, LsmTwoShardWorldIsWorkerInvariant) {
+  harness::ExperimentOptions opt;
+  opt.num_nodes = 4;
+  opt.num_clients = 4;
+  opt.access = kv::AccessPath::kLsm;
+  opt.num_keys_per_node = 1 << 14;
+  opt.cache_pages = 1 << 12;
+  opt.measure_requests = 200;
+  opt.warmup_requests = 20;
+  opt.noise = harness::NoiseKind::kContinuous;
+  opt.continuous_all_nodes = true;
+  opt.deadline = Millis(13);
+  opt.num_shards = 2;
+  opt.seed = 5151;
+  const auto card = [&opt](StrategyKind kind, int intra_workers) {
+    harness::ExperimentOptions o = opt;
+    o.intra_workers = intra_workers;
+    const harness::RunResult r = harness::Experiment(o).Run(kind);
+    EXPECT_EQ(r.num_shards, 2);
+    std::string s = chaos::ResultFingerprint(r) + " events=" + std::to_string(r.sim_events);
+    for (const DurationNs v : r.get_latencies.samples()) {
+      s += ' ' + std::to_string(v);
+    }
+    return s;
+  };
+  for (const StrategyKind kind :
+       {StrategyKind::kBase, StrategyKind::kAppTimeout, StrategyKind::kClone,
+        StrategyKind::kHedged, StrategyKind::kSnitch, StrategyKind::kC3, StrategyKind::kMittos,
+        StrategyKind::kMittosWait, StrategyKind::kMittosResilient}) {
+    EXPECT_EQ(card(kind, 2), card(kind, 1)) << harness::StrategyKindName(kind);
+  }
+}
+
 // -------------------------------------------- trace export byte-identity
 
 TEST(ShardDeterminismTest, TraceExportIsByteIdenticalAcrossWorkerCounts) {
